@@ -14,31 +14,24 @@ from .discrimination import (BarrierModel, DiscriminationReport, ExtendedState,
 from .evolution import (EvolvedChamberState, autocorrelation, evolve,
                         revival_period, sample_amplitude, sample_density)
 from .expansion import (ChamberExpansion, ChamberGeometry, CoeffDiscrepancy,
-                        EnergyTransfer, TransitionProbability, coeff_a, coeff_b,
-                        coeff_c, coeff_d, coefficient, delta_energy, energy_transfer,
-                        expand, nominal_transition_total, oracle_coefficient,
-                        quadrature_project, sign_discrepancies,
-                        single_barrier_coefficients, single_well_projection,
-                        transition_probability, uncorrected_coefficient, well_energy)
+                        coefficient, delta_energy, expand, oracle_coefficient,
+                        sign_discrepancies, single_barrier_coefficients,
+                        single_well_projection, uncorrected_coefficient, well_energy)
 from .quadrature import ConvergenceError, integrate, project_mode
-from .ring import (DEFAULT_CONSTANTS, PhysicalConstants, RingSpectrum, RingState,
-                   reference_state, ring_energy, ring_overlap, ring_state,
-                   shifted_state)
+from .ring import (DEFAULT_CONSTANTS, PhysicalConstants, RingState, reference_state,
+                   ring_energy, ring_overlap, ring_state, shifted_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarrierModel", "ChamberExpansion", "ChamberGeometry", "CoeffDiscrepancy",
     "ConvergenceError", "DEFAULT_CONSTANTS", "DiscriminationReport",
-    "EnergyTransfer", "EvolvedChamberState", "ExtendedState", "PhysicalConstants",
-    "RingSpectrum", "RingState", "TransitionProbability", "autocorrelation",
-    "build_extended", "coeff_a", "coeff_b", "coeff_c", "coeff_d", "coefficient",
-    "delta_energy", "energy_transfer", "evolve", "expand", "extended_overlap",
-    "helstrom_cost", "helstrom_oracle", "integrate", "nominal_transition_total",
-    "oracle_coefficient", "post_insertion_cost", "project_mode",
-    "quadrature_project", "reference_state", "revival_period", "ring_energy",
-    "ring_overlap", "ring_state", "sample_amplitude", "sample_density",
-    "shifted_state", "sign_discrepancies", "single_barrier_coefficients",
-    "single_well_projection", "transition_probability", "uncorrected_coefficient",
-    "well_energy",
+    "EvolvedChamberState", "ExtendedState", "PhysicalConstants", "RingState",
+    "autocorrelation", "build_extended", "coefficient", "delta_energy", "evolve",
+    "expand", "extended_overlap", "helstrom_cost", "helstrom_oracle", "integrate",
+    "oracle_coefficient", "post_insertion_cost", "project_mode", "reference_state",
+    "revival_period", "ring_energy", "ring_overlap", "ring_state",
+    "sample_amplitude", "sample_density", "shifted_state", "sign_discrepancies",
+    "single_barrier_coefficients", "single_well_projection",
+    "uncorrected_coefficient", "well_energy",
 ]

@@ -2,10 +2,11 @@
 
 Subcommands: ``cost``, ``coeffs``, ``energy``, ``evolve``, ``parseval``.
 Output is deterministic: floats are printed with 17 significant digits and a
-'.' decimal point, rows are ordered by sweep index regardless of worker
-completion order, so identical configurations give byte-identical files.
-Configuration precedence is flags > config file (JSON, path from --config or
-the RINGSPLIT_CONFIG environment variable) > built-in defaults.
+'.' decimal point, rows are ordered by sweep index, so identical
+configurations give byte-identical files. Configuration precedence is flags >
+config file (JSON, path from --config or the RINGSPLIT_CONFIG environment
+variable) > built-in defaults; config values are converted and checked by the
+same argparse types and choices as the flags.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -36,7 +37,7 @@ CANDIDATE_CHOICES = ("reference", "shifted")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved parameters for one invocation (after flag/config/default merge)."""
+    """Resolved parameters for one invocation."""
 
     alphas: tuple[float, ...]
     n_truncs: tuple[int, ...]
@@ -44,19 +45,12 @@ class RunConfig:
     variant: str
     fmt: str
     out: str | None
-    jobs: int
 
     def __post_init__(self):
         if len(self.alphas) < 1:
             raise ValueError("alpha sweep must contain at least one point")
         if len(self.n_truncs) < 1 or any(n < 1 for n in self.n_truncs):
             raise ValueError("truncation values must be positive")
-        if self.variant not in VARIANT_CHOICES:
-            raise ValueError(f"variant must be one of {VARIANT_CHOICES}")
-        if self.fmt not in FORMAT_CHOICES:
-            raise ValueError(f"format must be one of {FORMAT_CHOICES}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         BarrierModel(self.epsilon)
 
     @property
@@ -119,31 +113,15 @@ def _parse_sweep(raw: str) -> tuple[float, ...]:
     return tuple(np.linspace(start, stop, count).tolist())
 
 
-def _parse_int_list(raw) -> tuple[int, ...]:
-    if isinstance(raw, int):
-        return (raw,)
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(v) for v in raw)
-    try:
-        return tuple(int(part) for part in str(raw).split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
-
-
-def _parse_float_list(raw) -> tuple[float, ...]:
-    if isinstance(raw, (int, float)):
-        return (float(raw),)
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
-    try:
-        return tuple(float(part) for part in str(raw).split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {raw!r}") from None
+def _number_list(cast):
+    """Argparse type for a comma-separated list of numbers."""
+    def parse(raw: str) -> tuple:
+        return tuple(cast(part) for part in raw.split(","))
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get(ENV_CONFIG)
     if not path:
         return {}
     with open(path) as fh:
@@ -153,33 +131,54 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _merged(args, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert and check one config value exactly as its flag would be.
+
+    The value is turned into the text a user would pass on the command line
+    (a list becomes a comma list) and then run through the flag's type and
+    choices.
+    """
+    items = value if isinstance(value, list) else [value]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in items):
+        raise ValueError(
+            f"config key {key!r}: expected a number or a string, got {json.dumps(value)}")
+    text = ",".join(str(int(v) if isinstance(v, float) and v.is_integer() else v)
+                    for v in items)
+    try:
+        converted = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {action.type.__name__} value "
+                         f"{json.dumps(value)}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"config key {key!r}: {json.dumps(value)} is not one of "
+                         f"{', '.join(action.choices)}")
+    return converted
 
 
-def _resolve_run_config(args, config: dict, *, default_n_trunc: str) -> RunConfig:
-    sweep = _merged(args, config, "alpha_sweep", None)
-    alpha = _merged(args, config, "alpha", None)
-    if sweep is not None and getattr(args, "alpha", None) is None:
-        alphas = _parse_sweep(sweep)
-    elif alpha is not None:
-        alphas = (float(alpha),)
-    else:
-        alphas = (math.pi / 4.0,)
-    return RunConfig(
-        alphas=alphas,
-        n_truncs=_parse_int_list(_merged(args, config, "n_trunc", default_n_trunc)),
-        epsilon=float(_merged(args, config, "epsilon", 0.0)),
-        variant=str(_merged(args, config, "variant", "both")),
-        fmt=str(_merged(args, config, "format", "csv")),
-        out=_merged(args, config, "out", None),
-        jobs=int(_merged(args, config, "jobs", 1)),
-    )
+def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) -> None:
+    """Make the config file's values the defaults of the chosen subcommand.
+
+    Flags given on the command line still win. Keys of another subcommand's
+    flags are skipped, so one config file can serve several subcommands; any
+    other unknown key is an error.
+    """
+    config = _load_config(flags.config)
+    subparsers = next(a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: {a.dest: a for a in sub._actions
+                      if a.option_strings and a.dest not in ("help", "config")}
+               for name, sub in subparsers.items()}
+    own = options[flags.command]
+    defaults = {}
+    for key, value in config.items():
+        if key in own:
+            defaults[key] = _config_value(own[key], key, value)
+        elif not any(key in other for other in options.values()):
+            raise ValueError(f"unknown config key {key!r}")
+    if flags.alpha is not None:
+        # --alpha on the command line also beats a configured sweep
+        defaults.pop("alpha_sweep", None)
+    subparsers[flags.command].set_defaults(**defaults)
 
 
 # ---------------------------------------------------------------- cost
@@ -191,22 +190,11 @@ COST_HEADER = [
 ]
 
 
-def _cost_row(task):
-    alpha, n_trunc, epsilon = task
-    r = post_insertion_cost(alpha, n_trunc, BarrierModel(epsilon))
-    return [r.alpha, r.epsilon, r.n_trunc, r.prior,
-            r.overlap_before, r.cost_before, r.overlap_after, r.cost_after,
-            r.deficit_reference, r.deficit_shifted, r.sum_rule_overlap, r.note]
-
-
 def run_cost(cfg: RunConfig):
-    tasks = [(alpha, cfg.n_trunc, cfg.epsilon) for alpha in cfg.alphas]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_cost_row, tasks))
-    else:
-        rows = [_cost_row(task) for task in tasks]
-    return COST_HEADER, rows
+    # each header name is a DiscriminationReport field
+    reports = [post_insertion_cost(alpha, cfg.n_trunc, BarrierModel(cfg.epsilon))
+               for alpha in cfg.alphas]
+    return COST_HEADER, [[getattr(r, key) for key in COST_HEADER] for r in reports]
 
 
 # ---------------------------------------------------------------- coeffs
@@ -242,9 +230,8 @@ def run_coeffs(cfg: RunConfig, discrepancy_path: str | None):
             diffs = [abs(cv - ov) for cv, ov in zip(closed, oracle)]
             rows.append([alpha, n, *closed, *normalized, *oracle, *diffs,
                          deficit_ref, deficit_sh])
-        for rec in sign_discrepancies(alpha, n_trunc):
-            discrepancy_rows.append(
-                [rec.kind, rec.n, rec.alpha, rec.uncorrected, rec.oracle, rec.adopted])
+        discrepancy_rows.extend([getattr(rec, key) for key in DISCREPANCY_HEADER]
+                                for rec in sign_discrepancies(alpha, n_trunc))
     if discrepancy_path is not None:
         with open(discrepancy_path, "w", newline="") as fh:
             _write_csv(DISCREPANCY_HEADER, discrepancy_rows, fh)
@@ -259,26 +246,22 @@ def run_coeffs(cfg: RunConfig, discrepancy_path: str | None):
 def run_energy(cfg: RunConfig, nm_max: int):
     if nm_max < 1:
         raise ValueError("--nm-max must be >= 1")
-    if cfg.variant == "both":
-        header = ["alpha", "n", "m", "delta_e_nominal", "delta_e_conserving",
-                  "variant_difference"]
-    else:
-        header = ["alpha", "n", "m", "delta_e"]
-    rows = []
+    both = cfg.variant == "both"
+    header = ["alpha", "n", "m"] + (["delta_e_nominal", "delta_e_conserving",
+                                     "variant_difference"] if both else ["delta_e"])
     idx = np.arange(1, nm_max + 1)
+    rows = []
     for alpha in cfg.alphas:
-        nominal = {m: delta_energy(idx, m, alpha, variant="nominal") for m in idx}
-        conserving = {m: delta_energy(idx, m, alpha, variant="conserving") for m in idx}
-        for n in idx:
-            for m in idx:
-                nom = float(nominal[m][n - 1])
-                con = float(conserving[m][n - 1])
-                if cfg.variant == "both":
-                    rows.append([alpha, int(n), int(m), nom, con, nom - con])
-                elif cfg.variant == "nominal":
-                    rows.append([alpha, int(n), int(m), nom])
-                else:
-                    rows.append([alpha, int(n), int(m), con])
+        # (n, m) grids flattened with n outer and m inner, the order of product()
+        grids = (delta_energy(idx[:, None], idx, alpha, variant=v) for v in DELTA_E_VARIANTS)
+        nominal, conserving = (grid.ravel().tolist() for grid in grids)
+        pairs = product(range(1, nm_max + 1), repeat=2)
+        if both:
+            rows.extend([alpha, n, m, nom, con, nom - con]
+                        for (n, m), nom, con in zip(pairs, nominal, conserving))
+        else:
+            chosen = nominal if cfg.variant == "nominal" else conserving
+            rows.extend([alpha, n, m, value] for (n, m), value in zip(pairs, chosen))
     return header, rows
 
 
@@ -337,24 +320,23 @@ def run_parseval(cfg: RunConfig):
 
 # ---------------------------------------------------------------- parser
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, n_trunc: str) -> None:
     alpha_group = parser.add_mutually_exclusive_group()
     alpha_group.add_argument("--alpha", type=float, default=None,
                              help="barrier angle in radians, in (0, pi/2] (default pi/4)")
     alpha_group.add_argument("--alpha-sweep", default=None, metavar="START:STOP:COUNT",
                              help="inclusive linear sweep over alpha")
-    parser.add_argument("--n-trunc", default=None,
-                        help="expansion truncation; parseval accepts a comma list")
-    parser.add_argument("--epsilon", type=float, default=None,
+    parser.add_argument("--n-trunc", type=_number_list(int), default=n_trunc,
+                        help="expansion truncation; parseval accepts a comma list "
+                             f"(default {n_trunc})")
+    parser.add_argument("--epsilon", type=float, default=0.0,
                         help="barrier-state overlap in [0, 1] (default 0)")
-    parser.add_argument("--variant", choices=VARIANT_CHOICES, default=None,
+    parser.add_argument("--variant", choices=VARIANT_CHOICES, default="both",
                         help="energy-transfer variant (default both)")
-    parser.add_argument("--format", choices=FORMAT_CHOICES, default=None,
+    parser.add_argument("--format", choices=FORMAT_CHOICES, default="csv",
                         help="output format (default csv)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for sweeps (default 1)")
-    parser.add_argument("--config", default=None,
+    parser.add_argument("--config", default=os.environ.get(ENV_CONFIG),
                         help=f"JSON config file (default from ${ENV_CONFIG})")
 
 
@@ -367,68 +349,63 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cost = sub.add_parser("cost", help="Bayes cost before/after insertion")
-    _add_common_flags(p_cost)
+    _add_common_flags(p_cost, n_trunc="1000")
 
     p_coeffs = sub.add_parser("coeffs", help="expansion coefficients and oracle check")
-    _add_common_flags(p_coeffs)
+    _add_common_flags(p_coeffs, n_trunc="50")
     p_coeffs.add_argument("--discrepancies", default=None, metavar="PATH",
                           help="write oracle sign corrections to this CSV")
 
     p_energy = sub.add_parser("energy", help="energy-transfer table over (n, m)")
-    _add_common_flags(p_energy)
-    p_energy.add_argument("--nm-max", type=int, default=None,
+    _add_common_flags(p_energy, n_trunc="1000")
+    p_energy.add_argument("--nm-max", type=int, default=100,
                           help="largest mode index per chamber (default 100)")
 
     p_evolve = sub.add_parser("evolve", help="density snapshots at chosen times")
-    _add_common_flags(p_evolve)
-    p_evolve.add_argument("--candidate", choices=CANDIDATE_CHOICES, default=None,
+    _add_common_flags(p_evolve, n_trunc="1000")
+    p_evolve.add_argument("--candidate", choices=CANDIDATE_CHOICES, default="reference",
                           help="which candidate to evolve (default reference)")
-    p_evolve.add_argument("--chamber", choices=("1", "2", "both"), default=None,
+    p_evolve.add_argument("--chamber", choices=("1", "2", "both"), default="both",
                           help="chamber(s) to sample (default both)")
-    p_evolve.add_argument("--grid-points", type=int, default=None,
+    p_evolve.add_argument("--grid-points", type=int, default=4096,
                           help="grid points per chamber (default 4096)")
-    p_evolve.add_argument("--time-fracs", default=None,
+    p_evolve.add_argument("--time-fracs", type=_number_list(float),
+                          default="0,0.25,0.5,0.75,1",
                           help="comma list of times as fractions of the revival period "
                                "(default 0,0.25,0.5,0.75,1)")
-    p_evolve.add_argument("--times", default=None,
+    p_evolve.add_argument("--times", type=_number_list(float), default=None,
                           help="comma list of absolute times (overrides --time-fracs)")
 
     p_parseval = sub.add_parser("parseval", help="completeness deficits vs truncation")
-    _add_common_flags(p_parseval)
+    _add_common_flags(p_parseval, n_trunc="100,1000,10000")
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        _apply_config(parser, flags)
+        args = parser.parse_args(argv)
+        if args.alpha_sweep is not None:
+            alphas = _parse_sweep(args.alpha_sweep)
+        else:
+            alphas = (math.pi / 4.0 if args.alpha is None else args.alpha,)
+        cfg = RunConfig(alphas=alphas, n_truncs=args.n_trunc, epsilon=args.epsilon,
+                        variant=args.variant, fmt=args.format, out=args.out)
         if args.command == "cost":
-            cfg = _resolve_run_config(args, config, default_n_trunc="1000")
             header, rows = run_cost(cfg)
         elif args.command == "coeffs":
-            cfg = _resolve_run_config(args, config, default_n_trunc="50")
-            header, rows = run_coeffs(cfg, _merged(args, config, "discrepancies", None))
+            header, rows = run_coeffs(cfg, args.discrepancies)
         elif args.command == "energy":
-            cfg = _resolve_run_config(args, config, default_n_trunc="1000")
-            header, rows = run_energy(cfg, int(_merged(args, config, "nm_max", 100)))
+            header, rows = run_energy(cfg, args.nm_max)
         elif args.command == "evolve":
-            cfg = _resolve_run_config(args, config, default_n_trunc="1000")
-            chamber = str(_merged(args, config, "chamber", "both"))
-            chambers = (1, 2) if chamber == "both" else (int(chamber),)
-            times = _merged(args, config, "times", None)
-            header, rows = run_evolve(
-                cfg,
-                candidate=str(_merged(args, config, "candidate", "reference")),
-                chambers=chambers,
-                grid_points=int(_merged(args, config, "grid_points", 4096)),
-                time_fracs=_parse_float_list(
-                    _merged(args, config, "time_fracs", "0,0.25,0.5,0.75,1")),
-                times=None if times is None else _parse_float_list(times),
-            )
+            chambers = (1, 2) if args.chamber == "both" else (int(args.chamber),)
+            header, rows = run_evolve(cfg, candidate=args.candidate, chambers=chambers,
+                                      grid_points=args.grid_points,
+                                      time_fracs=args.time_fracs, times=args.times)
         else:
-            cfg = _resolve_run_config(args, config, default_n_trunc="100,1000,10000")
             header, rows = run_parseval(cfg)
         _emit(header, rows, cfg)
     except ConvergenceError as exc:

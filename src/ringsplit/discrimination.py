@@ -24,12 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expansion import ChamberExpansion, ChamberGeometry, expand
+from .expansion import ChamberExpansion, ChamberGeometry, expand, node_barrier
 from .ring import (DEFAULT_CONSTANTS, PhysicalConstants, reference_state,
                    ring_overlap, shifted_state)
-
-#: Tag of a barrier that transferred no energy (inserted at a node).
-GROUND = "ground"
 
 NOTE_TENSOR_MODEL = (
     "overlap_after uses the literal two-chamber tensor model; with epsilon > 0 "
@@ -53,13 +50,6 @@ class BarrierModel:
         if not (math.isfinite(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
 
-    def tag_overlap(self, tag1, tag2) -> float:
-        if tag1 == tag2:
-            return 1.0
-        if (tag1 == GROUND) != (tag2 == GROUND):
-            return self.epsilon
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ExtendedState:
@@ -69,7 +59,8 @@ class ExtendedState:
     chamber1_amps[n-1] * chamber2_amps[m-1], with both factor arrays unit
     vectors so the state is normalized for any truncation. ``indexed_barrier``
     says which barrier carries the (n, m) transfer tags (0 for the barrier at
-    angle 0, 1 for the one at alpha); the other barrier stays in GROUND.
+    angle 0, 1 for the one at alpha); the other barrier keeps the no-transfer
+    tag.
     """
 
     geometry: ChamberGeometry
@@ -79,32 +70,14 @@ class ExtendedState:
     indexed_barrier: int
     norm_sq_before: float
 
-    def amplitude(self, n: int, m: int) -> float:
-        if not (1 <= n <= self.n_trunc and 1 <= m <= self.n_trunc):
-            raise IndexError(f"(n, m)=({n}, {m}) outside truncation 1..{self.n_trunc}")
-        return float(self.chamber1_amps[n - 1] * self.chamber2_amps[m - 1])
-
-    def tags(self, n: int, m: int) -> tuple:
-        """(barrier-0 tag, barrier-alpha tag) attached to the (n, m) component."""
-        if self.indexed_barrier == 0:
-            return ((n, m), GROUND)
-        return (GROUND, (n, m))
-
-    def items(self):
-        """Iterate the sparse amplitude map: ((n, m, tag0, tag_alpha), amplitude)."""
-        for n in range(1, self.n_trunc + 1):
-            for m in range(1, self.n_trunc + 1):
-                tag0, tag_alpha = self.tags(n, m)
-                yield (n, m, tag0, tag_alpha), self.amplitude(n, m)
-
 
 def build_extended(expansion: ChamberExpansion) -> ExtendedState:
     """Entangle one candidate's expansion with the two barrier records.
 
-    The barrier sitting on the candidate's node transferred nothing and stays
-    GROUND; the other one carries the (n, m) tag. Which is which follows from
-    the expansion's state offset (offset 0: node at barrier 0, transfer tags
-    at alpha; offset alpha: the reverse).
+    The barrier sitting on the candidate's node transferred nothing and keeps
+    the no-transfer tag; the other one carries the (n, m) tag. Which is which
+    follows from the expansion's state offset (offset 0: node at barrier 0,
+    transfer tags at alpha; offset alpha: the reverse).
     """
     a = expansion.norm_coeffs_1
     b = expansion.norm_coeffs_2
@@ -112,15 +85,8 @@ def build_extended(expansion: ChamberExpansion) -> ExtendedState:
     nb = float(b @ b)
     if na <= 0.0 or nb <= 0.0:
         raise ValueError("empty expansion: no weight in one of the chambers")
-    alpha = expansion.geometry.alpha
-    offset = expansion.state_offset
-    if abs(offset) < 1e-12 or abs(offset - 2.0 * math.pi) < 1e-12:
-        indexed = 1
-    elif abs(offset - alpha) < 1e-12:
-        indexed = 0
-    else:
-        raise ValueError(
-            f"expansion offset {offset!r} does not sit on a barrier (alpha={alpha!r})")
+    # the barrier off the candidate's node carries the transfer tags
+    indexed = 1 - node_barrier(expansion.state_offset, expansion.geometry.alpha)
     return ExtendedState(
         geometry=expansion.geometry,
         n_trunc=expansion.n_trunc,
@@ -137,8 +103,9 @@ def extended_overlap(s1: ExtendedState, s2: ExtendedState, bm: BarrierModel) -> 
     Chamber-mode orthogonality restricts the double sum to matching (n, m);
     the barrier factor is then 1 per barrier when both states index the same
     barrier, and epsilon per barrier (epsilon^2 total) when they index
-    opposite barriers, since a GROUND tag meets a transfer tag on each. With
-    epsilon = 0 the candidate pair is exactly orthogonal for any truncation.
+    opposite barriers, since a no-transfer tag meets a transfer tag on each.
+    With epsilon = 0 the candidate pair is exactly orthogonal for any
+    truncation.
     """
     if s1.geometry != s2.geometry or s1.n_trunc != s2.n_trunc:
         raise ValueError("extended states must share geometry and truncation")

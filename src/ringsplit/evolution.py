@@ -65,21 +65,26 @@ class EvolvedChamberState:
         """Complex mode coefficients at this state's time."""
         return self.base_coefficients * self.phases()
 
-    def energies(self) -> np.ndarray:
-        """Well levels E_n for the retained modes."""
-        n = np.arange(1, self.base_coefficients.size + 1, dtype=float)
-        return (n * math.pi * self.constants.hbar / self.width) ** 2 / (2.0 * self.constants.mass)
-
 
 def evolve(expansion: ChamberExpansion, chamber: int, t: float,
            k: PhysicalConstants = DEFAULT_CONSTANTS) -> EvolvedChamberState:
-    """Propagate one chamber of an expansion to time t (phases only)."""
+    """Propagate one chamber of an expansion to time t (phases only).
+
+    Rejects |t| >= 2**52 * T / n_trunc^2: the top mode's phase n^2 * t/T would
+    have no fractional bits left, and the result would read as t = 0.
+    """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
+    coeffs = np.asarray(expansion.norm_coeffs(chamber), dtype=float)
+    period = revival_period(expansion.geometry.width(chamber), k)
+    if coeffs.size ** 2 * abs(t) / period >= 2.0 ** 52:
+        raise ValueError(
+            f"time {t!r} is too large to resolve the phases of {coeffs.size} modes: "
+            "n_trunc^2 * |t| / T must stay below 2**52")
     return EvolvedChamberState(
         geometry=expansion.geometry,
         chamber=chamber,
-        base_coefficients=np.asarray(expansion.norm_coeffs(chamber), dtype=float),
+        base_coefficients=coeffs,
         time=float(t),
         constants=k,
     )

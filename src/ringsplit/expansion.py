@@ -8,11 +8,13 @@ is sin(n*pi*(theta - lo_c)/width_c).
 
 Two coefficient conventions run in parallel:
 
-* ``coeff_a``/``coeff_b``/``coeff_c``/``coeff_d`` are the 1/pi-weighted
-  integrals of the bare waveform sin(theta - offset) against the bare chamber
-  sines (kinds a/b: reference candidate in chambers 1/2; kinds c/d: shifted
-  candidate in chambers 1/2). These obey compact closed forms but are not
-  projections onto unit vectors, so their squares are not probabilities.
+* ``coefficient(kind, n, alpha)`` gives the 1/pi-weighted integrals of the
+  bare waveform sin(theta - offset) against the bare chamber sines (kinds
+  a/b: reference candidate in chambers 1/2; kinds c/d: shifted candidate in
+  chambers 1/2). One closed form per chamber covers all four kinds:
+  c = chamber-1 form, b = chamber-2 form, a = (-1)^n c and d = (-1)^n b.
+  These are not projections onto unit vectors, so their squares are not
+  probabilities.
 * the *normalized* coefficients are projections onto the orthonormal modes
   sqrt(2/width)*sin(...): A_n = sqrt(2*pi/alpha) * a_n for chamber 1 and
   B_m = sqrt(2*pi/(2*pi - alpha)) * b_m for chamber 2. Their squares sum to 1
@@ -59,14 +61,6 @@ class ChamberGeometry:
             raise ValueError(
                 f"barrier angle must lie in (0, pi/2], got {self.alpha!r}")
 
-    @property
-    def width_1(self) -> float:
-        return self.alpha
-
-    @property
-    def width_2(self) -> float:
-        return TWO_PI - self.alpha
-
     def width(self, chamber: int) -> float:
         self._check_chamber(chamber)
         return self.alpha if chamber == 1 else TWO_PI - self.alpha
@@ -95,66 +89,59 @@ def _levels(n) -> np.ndarray:
     return n.astype(float)
 
 
-def _chamber2_denominator(n: np.ndarray, alpha: float) -> np.ndarray:
-    den = (alpha - (n + 2.0) * math.pi) * (alpha + (n - 2.0) * math.pi)
+#: kind -> (chamber, candidate offset is alpha, carries (-1)^n, sign of the
+#: uncorrected form). Kinds a/b are the reference candidate, c/d the shifted
+#: one; multiplying by +-1 is exact, so a = (-1)^n c and d = (-1)^n b hold
+#: bitwise.
+_KINDS = {
+    "a": (1, False, True, 1.0),
+    "b": (2, False, False, 1.0),
+    "c": (1, True, False, 1.0),
+    "d": (2, True, True, -1.0),
+}
+
+
+def _kind(kind: str) -> tuple[int, bool, bool, float]:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"kind must be one of {COEFF_KINDS}, got {kind!r}") from None
+
+
+def _closed_form(chamber: int, n: np.ndarray, alpha: float) -> np.ndarray:
+    """c_n = alpha*n/(alpha^2 - pi^2 n^2) * sin(alpha) in chamber 1, and
+    b_n = -(2*pi - alpha)*n/((alpha - (n+2)pi)(alpha + (n-2)pi)) * sin(alpha)
+    in chamber 2."""
+    if chamber == 1:
+        num = alpha
+        den = alpha * alpha - math.pi**2 * n * n
+    else:
+        num = -(TWO_PI - alpha)
+        den = (alpha - (n + 2.0) * math.pi) * (alpha + (n - 2.0) * math.pi)
     if np.any(np.abs(den) < _DENOM_FLOOR):
-        raise ValueError("degenerate chamber-2 denominator")
-    return den
+        raise ValueError(f"degenerate chamber-{chamber} denominator")
+    return num * n / den * math.sin(alpha)
 
 
-def coeff_a(n, alpha: float):
-    """Reference candidate against chamber-1 mode n: (-1)^n * alpha*n/(alpha^2 - pi^2 n^2) * sin(alpha)."""
-    alpha = _check_alpha(alpha)
-    n = _levels(n)
-    den = alpha * alpha - math.pi**2 * n * n
-    if np.any(np.abs(den) < _DENOM_FLOOR):
-        raise ValueError("degenerate chamber-1 denominator")
-    out = (-1.0) ** n * alpha * n / den * math.sin(alpha)
-    return out if out.ndim else float(out)
-
-
-def coeff_b(n, alpha: float):
-    """Reference candidate against chamber-2 mode n."""
-    alpha = _check_alpha(alpha)
-    n = _levels(n)
-    den = _chamber2_denominator(n, alpha)
-    out = -(TWO_PI - alpha) * n / den * math.sin(alpha)
-    return out if out.ndim else float(out)
-
-
-def coeff_c(n, alpha: float):
-    """Shifted candidate against chamber-1 mode n; equals (-1)^n * coeff_a."""
-    alpha = _check_alpha(alpha)
-    n = _levels(n)
-    den = alpha * alpha - math.pi**2 * n * n
-    if np.any(np.abs(den) < _DENOM_FLOOR):
-        raise ValueError("degenerate chamber-1 denominator")
-    out = alpha * n / den * math.sin(alpha)
-    return out if out.ndim else float(out)
-
-
-def coeff_d(n, alpha: float):
-    """Shifted candidate against chamber-2 mode n; equals (-1)^n * coeff_b.
-
-    Sign fixed by the quadrature oracle: (-1)^(n+1), not (-1)^n as in the
-    uncorrected variant (see ``sign_discrepancies``).
-    """
-    alpha = _check_alpha(alpha)
-    n = _levels(n)
-    den = _chamber2_denominator(n, alpha)
-    out = (-1.0) ** (n + 1.0) * (TWO_PI - alpha) * n / den * math.sin(alpha)
-    return out if out.ndim else float(out)
-
-
-_COEFF_FUNCS = {"a": coeff_a, "b": coeff_b, "c": coeff_c, "d": coeff_d}
+def _waveform(offset: float):
+    """Unit-amplitude candidate waveform theta -> sin(theta - offset)."""
+    return lambda theta: np.sin(theta - offset)
 
 
 def coefficient(kind: str, n, alpha: float):
-    """Adopted (oracle-resolved) closed form for one coefficient kind."""
-    try:
-        return _COEFF_FUNCS[kind](n, alpha)
-    except KeyError:
-        raise ValueError(f"kind must be one of {COEFF_KINDS}, got {kind!r}") from None
+    """Adopted (oracle-resolved) closed form for one coefficient kind.
+
+    The sign of kind d was fixed by the quadrature oracle: (-1)^(n+1) relative
+    to the chamber-2 magnitude, not (-1)^n as in the uncorrected variant (see
+    ``sign_discrepancies``).
+    """
+    chamber, _, alternating, _ = _kind(kind)
+    alpha = _check_alpha(alpha)
+    n = _levels(n)
+    out = _closed_form(chamber, n, alpha)
+    if alternating:
+        out = (-1.0) ** n * out
+    return out if out.ndim else float(out)
 
 
 def uncorrected_coefficient(kind: str, n, alpha: float):
@@ -164,45 +151,17 @@ def uncorrected_coefficient(kind: str, n, alpha: float):
     sign for every n. Retained so the discrepancy report can document each
     correction instead of silently absorbing it.
     """
-    if kind == "d":
-        out = -np.asarray(coeff_d(n, alpha))
-        return out if out.ndim else float(out)
-    return coefficient(kind, n, alpha)
-
-
-def _kind_chamber_offset(kind: str, alpha: float) -> tuple[int, float]:
-    return {
-        "a": (1, 0.0), "b": (2, 0.0), "c": (1, alpha), "d": (2, alpha),
-    }[kind]
+    _, _, _, sign = _kind(kind)
+    return sign * coefficient(kind, n, alpha)
 
 
 def oracle_coefficient(kind: str, n: int, alpha: float, *, tol: float = 1e-12) -> float:
     """Coefficient of the given kind by quadrature (the defining integral / pi)."""
-    geometry = ChamberGeometry(alpha)
-    chamber, offset = _kind_chamber_offset(kind, alpha)
-    lo, hi = geometry.bounds(chamber)
-
-    def shape(theta):
-        return np.sin(theta - offset)
-
+    chamber, shifted, _, _ = _kind(kind)
+    lo, hi = ChamberGeometry(alpha).bounds(chamber)
+    shape = _waveform(alpha if shifted else 0.0)
     return project_mode(shape, lo, hi, n, tol=tol) / math.pi
 
-
-def quadrature_project(state, chamber: int, n: int, alpha: float, *,
-                       tol: float = 1e-12) -> float:
-    """Oracle projection of a state onto one bare chamber mode.
-
-    For a :class:`RingState` the integrand is the unit-amplitude waveform
-    sin(theta - offset) times sin(n*pi*(theta - lo)/width); the candidate's
-    1/sqrt(pi) normalization and the series prefactor 1/sqrt(pi) are folded
-    into the coefficient convention, so the a/b/c/d coefficients equal this
-    integral divided by pi. Any plain callable theta -> value is integrated
-    as given.
-    """
-    geometry = ChamberGeometry(alpha)
-    lo, hi = geometry.bounds(chamber)
-    f = state.shape if isinstance(state, RingState) else state
-    return project_mode(f, lo, hi, n, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -222,10 +181,6 @@ class ChamberExpansion:
     norm_coeffs_1: np.ndarray = field(repr=False)
     norm_coeffs_2: np.ndarray = field(repr=False)
 
-    def coeffs(self, chamber: int) -> np.ndarray:
-        self.geometry._check_chamber(chamber)
-        return self.coeffs_1 if chamber == 1 else self.coeffs_2
-
     def norm_coeffs(self, chamber: int) -> np.ndarray:
         self.geometry._check_chamber(chamber)
         return self.norm_coeffs_1 if chamber == 1 else self.norm_coeffs_2
@@ -243,6 +198,21 @@ class ChamberExpansion:
         return 1.0 - self.completeness
 
 
+def node_barrier(offset: float, alpha: float) -> int:
+    """Which barrier sits on the candidate's node: 0 (angle 0) or 1 (angle alpha).
+
+    Only the two discrimination candidates have a node on a barrier; any
+    other offset is rejected.
+    """
+    reduced = math.fmod(offset, TWO_PI)
+    if abs(reduced) < 1e-12 or abs(reduced - TWO_PI) < 1e-12:
+        return 0
+    if abs(reduced - alpha) < 1e-12:
+        return 1
+    raise ValueError("state offset must sit on one of the barriers (0 or alpha); "
+                     f"got offset={offset!r} with alpha={alpha!r}")
+
+
 def expand(state: RingState, alpha: float, n_trunc: int) -> ChamberExpansion:
     """Expand a candidate into both chamber eigenbases using the closed forms.
 
@@ -253,29 +223,20 @@ def expand(state: RingState, alpha: float, n_trunc: int) -> ChamberExpansion:
     if n_trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {n_trunc}")
     n = np.arange(1, n_trunc + 1)
-    offset = math.fmod(state.offset, TWO_PI)
     # closed forms assume the 1/sqrt(pi) candidate normalization; keep the
     # default path exactly scale-free
     scale = 1.0 if state.normalization == UNIT_RING_NORM \
         else state.normalization * math.sqrt(math.pi)
-    if abs(offset) < 1e-12 or abs(offset - TWO_PI) < 1e-12:
-        c1 = coeff_a(n, alpha) * scale
-        c2 = coeff_b(n, alpha) * scale
-    elif abs(offset - alpha) < 1e-12:
-        c1 = coeff_c(n, alpha) * scale
-        c2 = coeff_d(n, alpha) * scale
-    else:
-        raise ValueError(
-            "state offset must sit on one of the barriers (0 or alpha); "
-            f"got offset={state.offset!r} with alpha={alpha!r}")
+    kinds = ("a", "b") if node_barrier(state.offset, alpha) == 0 else ("c", "d")
+    c1, c2 = (coefficient(kind, n, alpha) * scale for kind in kinds)
     return ChamberExpansion(
         geometry=geometry,
         n_trunc=int(n_trunc),
         state_offset=float(state.offset),
         coeffs_1=c1,
         coeffs_2=c2,
-        norm_coeffs_1=math.sqrt(TWO_PI / geometry.width_1) * c1,
-        norm_coeffs_2=math.sqrt(TWO_PI / geometry.width_2) * c2,
+        norm_coeffs_1=math.sqrt(TWO_PI / geometry.width(1)) * c1,
+        norm_coeffs_2=math.sqrt(TWO_PI / geometry.width(2)) * c2,
     )
 
 
@@ -306,7 +267,7 @@ def single_well_projection(state, n: int, *, tol: float = 1e-12) -> float:
 
     Divide by pi to compare against ``single_barrier_coefficients``.
     """
-    f = state.shape if isinstance(state, RingState) else state
+    f = _waveform(state.offset) if isinstance(state, RingState) else state
     return project_mode(f, 0.0, TWO_PI, n, tol=tol)
 
 
@@ -348,62 +309,6 @@ def delta_energy(n, m, alpha: float, k: PhysicalConstants = DEFAULT_CONSTANTS,
 
 
 @dataclass(frozen=True)
-class EnergyTransfer:
-    """Both variants of the (n, m) energy transfer."""
-
-    n: int
-    m: int
-    nominal: float
-    conserving: float
-
-
-def energy_transfer(n: int, m: int, alpha: float,
-                    k: PhysicalConstants = DEFAULT_CONSTANTS) -> EnergyTransfer:
-    return EnergyTransfer(
-        n=int(n), m=int(m),
-        nominal=delta_energy(n, m, alpha, k, "nominal"),
-        conserving=delta_energy(n, m, alpha, k, "conserving"),
-    )
-
-
-@dataclass(frozen=True)
-class TransitionProbability:
-    """Probability of landing on the chamber-mode pair (n, m).
-
-    ``nominal`` is the square of the 1/pi-weighted coefficient product; these
-    values do not sum to 1 over (n, m) because the bare chamber sines are not
-    unit vectors. ``normalized`` uses the orthonormal-mode projections with
-    the truncated product state renormalized, so the values sum to 1.
-    """
-
-    nominal: float
-    normalized: float
-
-
-def transition_probability(expansion: ChamberExpansion, n: int, m: int) -> TransitionProbability:
-    if not (1 <= n <= expansion.n_trunc and 1 <= m <= expansion.n_trunc):
-        raise IndexError(
-            f"(n, m)=({n}, {m}) outside truncation 1..{expansion.n_trunc}")
-    c1 = expansion.coeffs_1[n - 1]
-    c2 = expansion.coeffs_2[m - 1]
-    a = expansion.norm_coeffs_1
-    b = expansion.norm_coeffs_2
-    joint = (a[n - 1] * b[m - 1]) ** 2 / float((a @ a) * (b @ b))
-    return TransitionProbability(nominal=float((c1 * c2) ** 2), normalized=float(joint))
-
-
-def nominal_transition_total(expansion: ChamberExpansion) -> float:
-    """Sum of the nominal transition probabilities over all (n, m) <= n_trunc.
-
-    Not equal to 1 (the flag on the nominal convention); the normalized
-    convention sums to 1 by construction.
-    """
-    c1 = expansion.coeffs_1
-    c2 = expansion.coeffs_2
-    return float((c1 @ c1) * (c2 @ c2))
-
-
-@dataclass(frozen=True)
 class CoeffDiscrepancy:
     """One sign correction made by the quadrature oracle."""
 
@@ -425,8 +330,6 @@ def sign_discrepancies(alpha: float, n_max: int, *, kinds=COEFF_KINDS,
     """
     records = []
     for kind in kinds:
-        if kind not in COEFF_KINDS:
-            raise ValueError(f"unknown coefficient kind {kind!r}")
         for n in range(1, n_max + 1):
             oracle = oracle_coefficient(kind, n, alpha)
             raw = uncorrected_coefficient(kind, n, alpha)

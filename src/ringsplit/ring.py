@@ -45,21 +45,6 @@ def ring_energy(n: int, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
 
 
 @dataclass(frozen=True)
-class RingSpectrum:
-    """Energy spectrum of the free particle on the ring."""
-
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-
-    def energy(self, n: int) -> float:
-        return ring_energy(n, self.constants)
-
-    def energies(self, n_max: int) -> np.ndarray:
-        """Levels 1..n_max as an array; strictly increasing."""
-        n = np.arange(1, n_max + 1, dtype=float)
-        return self.constants.hbar**2 * n**2 / (2.0 * self.constants.mass)
-
-
-@dataclass(frozen=True)
 class RingState:
     """A rotated unit-frequency sine on the ring: normalization * sin(theta - offset).
 
@@ -73,10 +58,6 @@ class RingState:
     def amplitude(self, theta):
         """Wave-function value at theta (scalar or array)."""
         return self.normalization * np.sin(np.asarray(theta, dtype=float) - self.offset)
-
-    def shape(self, theta):
-        """Unit-amplitude waveform sin(theta - offset), without normalization."""
-        return np.sin(np.asarray(theta, dtype=float) - self.offset)
 
 
 def ring_state(offset: float) -> RingState:

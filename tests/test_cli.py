@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ringsplit
 from ringsplit.cli import main
 
 PI4 = repr(math.pi / 4)
@@ -76,14 +81,14 @@ def test_cost_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cost_jobs_do_not_change_output(tmp_path, capsys):
-    args = ["cost", "--alpha-sweep", "0.2:1.2:5", "--n-trunc", "60"]
-    serial = tmp_path / "serial.csv"
-    pooled = tmp_path / "pooled.csv"
-    assert main(args + ["--out", str(serial), "--jobs", "1"]) == 0
-    assert main(args + ["--out", str(pooled), "--jobs", "3"]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == pooled.read_bytes()
+def test_cli_import_leaves_out_process_pool():
+    src = str(Path(ringsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, ringsplit.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_cost_json_mirrors_csv_fields(capsys):
@@ -182,6 +187,14 @@ def test_evolve_snapshots_identical_at_revival(capsys):
         assert max(abs(x - y) for x, y in zip(start, revived)) < 1e-9
 
 
+def test_evolve_rejects_time_beyond_phase_resolution(capsys):
+    # n_trunc^2 * t / T would leave no fractional phase bits: not a t = 0 snapshot
+    code, out, err = run_cli(["evolve", "--times", "1e30"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "2**52" in err
+
+
 def test_evolve_rejects_sweep(capsys):
     code, _, err = run_cli(
         ["evolve", "--alpha-sweep", "0.2:1.0:3", "--grid-points", "10"], capsys)
@@ -226,6 +239,67 @@ def test_config_path_from_environment(tmp_path, capsys, monkeypatch):
     assert code == 0
     header, rows = read_csv_text(out)
     assert col(header, rows, "n_trunc", int)[0] == 17
+
+
+#: key -> (command line, bad value): a misspelt key, the removed jobs key, a
+#: bool for a number, a fraction for an int and a value outside the choices
+BAD_CONFIGS = {
+    "n_truc": (["cost", "--n-trunc", "10"], 5),
+    "jobs": (["cost", "--n-trunc", "10"], 2),
+    "alpha": (["cost", "--n-trunc", "10"], True),
+    "nm_max": (["energy", "--nm-max", "3"], 2.7),
+    "candidate": (["evolve", "--n-trunc", "10", "--grid-points", "3",
+                   "--time-fracs", "0"], "refrence"),
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_CONFIGS))
+def test_bad_config_value_exits_2_naming_key(key, tmp_path, capsys):
+    argv, value = BAD_CONFIGS[key]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert repr(key) in err
+
+
+def test_config_keys_of_other_subcommands_allowed(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_trunc": 12, "nm_max": 3, "candidate": "shifted"}))
+    code, out, _ = run_cli(["cost", "--alpha", PI4, "--config", str(config)], capsys)
+    assert code == 0
+    header, rows = read_csv_text(out)
+    assert col(header, rows, "n_trunc", int) == [12]
+
+
+FLAGS_AND_CONFIG = {
+    "cost": (["--alpha-sweep", "0.2:1.4:3", "--n-trunc", "60", "--epsilon", "0.25",
+              "--format", "json"],
+             {"alpha_sweep": "0.2:1.4:3", "n_trunc": 60, "epsilon": 0.25,
+              "format": "json"}),
+    "coeffs": (["--alpha", "0.6", "--n-trunc", "4"], {"alpha": 0.6, "n_trunc": "4"}),
+    "energy": (["--alpha", "0.5", "--nm-max", "4", "--variant", "conserving"],
+               {"alpha": 0.5, "nm_max": 4, "variant": "conserving"}),
+    "evolve": (["--alpha", "0.7", "--n-trunc", "50", "--grid-points", "9",
+                "--candidate", "shifted", "--chamber", "2", "--time-fracs", "0,0.37"],
+               {"alpha": 0.7, "n_trunc": 50, "grid_points": 9, "candidate": "shifted",
+                "chamber": 2, "time_fracs": [0, 0.37]}),
+    "parseval": (["--alpha", "1.1", "--n-trunc", "10,100"],
+                 {"alpha": 1.1, "n_trunc": [10, 100]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS_AND_CONFIG))
+def test_config_file_gives_same_output_as_flags(command, tmp_path, capsys):
+    flags, config = FLAGS_AND_CONFIG[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code_flags, out_flags, _ = run_cli([command, *flags], capsys)
+    code_config, out_config, _ = run_cli([command, "--config", str(path)], capsys)
+    assert code_flags == code_config == 0
+    assert out_flags != ""
+    assert out_config == out_flags
 
 
 def test_invalid_epsilon_exits_nonzero(capsys):

@@ -60,6 +60,15 @@ def test_evolve_rejects_non_finite_time():
         evolve(_expansion(10), 1, math.nan)
 
 
+def test_evolve_rejects_time_without_phase_resolution():
+    e = _expansion(300)
+    limit = 2.0 ** 52 * revival_period(e.geometry.width(1)) / 300 ** 2
+    evolve(e, 1, 0.99 * limit)
+    for t in (1.01 * limit, -1.01 * limit):
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            evolve(e, 1, t)
+
+
 def test_density_vanishes_at_chamber_ends():
     e = _expansion(400)
     state = evolve(e, 1, 0.1)
