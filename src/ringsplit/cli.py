@@ -23,7 +23,7 @@ import numpy as np
 
 from .discrimination import BarrierModel, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
-from .expansion import (DELTA_E_VARIANTS, delta_energy, expand,
+from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, delta_energy, expand,
                         oracle_coefficient, sign_discrepancies)
 from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
@@ -220,18 +220,20 @@ def run_coeffs(cfg: RunConfig, discrepancy_path: str | None):
         exp_sh = expand(shifted_state(alpha), alpha, n_trunc)
         deficit_ref = exp_ref.deficit
         deficit_sh = exp_sh.deficit
+        # one quadrature per (kind, n), shared by the table and the sign check
+        oracle = {kind: [oracle_coefficient(kind, n, alpha) for n in range(1, n_trunc + 1)]
+                  for kind in COEFF_KINDS}
         for i in range(n_trunc):
-            n = i + 1
             closed = [exp_ref.coeffs_1[i], exp_ref.coeffs_2[i],
                       exp_sh.coeffs_1[i], exp_sh.coeffs_2[i]]
             normalized = [exp_ref.norm_coeffs_1[i], exp_ref.norm_coeffs_2[i],
                           exp_sh.norm_coeffs_1[i], exp_sh.norm_coeffs_2[i]]
-            oracle = [oracle_coefficient(kind, n, alpha) for kind in "abcd"]
-            diffs = [abs(cv - ov) for cv, ov in zip(closed, oracle)]
-            rows.append([alpha, n, *closed, *normalized, *oracle, *diffs,
+            exact = [oracle[kind][i] for kind in COEFF_KINDS]
+            diffs = [abs(cv - ov) for cv, ov in zip(closed, exact)]
+            rows.append([alpha, i + 1, *closed, *normalized, *exact, *diffs,
                          deficit_ref, deficit_sh])
         discrepancy_rows.extend([getattr(rec, key) for key in DISCREPANCY_HEADER]
-                                for rec in sign_discrepancies(alpha, n_trunc))
+                                for rec in sign_discrepancies(alpha, n_trunc, oracle=oracle))
     if discrepancy_path is not None:
         with open(discrepancy_path, "w", newline="") as fh:
             _write_csv(DISCREPANCY_HEADER, discrepancy_rows, fh)

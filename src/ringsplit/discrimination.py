@@ -84,7 +84,10 @@ def build_extended(expansion: ChamberExpansion) -> ExtendedState:
     na = float(a @ a)
     nb = float(b @ b)
     if na <= 0.0 or nb <= 0.0:
-        raise ValueError("empty expansion: no weight in one of the chambers")
+        # every closed-form coefficient is nonzero, so only underflow empties a chamber
+        raise ValueError(
+            f"empty expansion: the chamber-{1 if na <= 0.0 else 2} weight underflowed "
+            f"to 0 at alpha={expansion.geometry.alpha!r}")
     # the barrier off the candidate's node carries the transfer tags
     indexed = 1 - node_barrier(expansion.state_offset, expansion.geometry.alpha)
     return ExtendedState(

@@ -11,6 +11,14 @@ Densities sampled on a grid show the post-insertion interference of the many
 populated modes (the non-nodal insertion pumps energy into arbitrarily high
 levels); snapshots at fractions of T are emitted for inspection without any
 quantitative roughness claim.
+
+Sampling has two paths. On the chamber's own uniform grid
+``np.linspace(lo, hi, G)`` (the one the CLI uses), the mode sum is a
+discrete sine transform: ``sample_density`` folds the N coefficients modulo
+2(G-1) and takes one FFT, O(N + G log G) time and O(N + G) memory. Any other
+grid goes through ``sample_amplitude``, which builds the dense N x G sine
+basis, O(N*G) in both; it is also the reference the FFT path is tested
+against.
 """
 from __future__ import annotations
 
@@ -27,7 +35,11 @@ def revival_period(width: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> fl
     """Exact recurrence time 4*M*width^2/(pi*hbar) of a Dirichlet well."""
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width!r}")
-    return 4.0 * k.mass * width * width / (math.pi * k.hbar)
+    period = 4.0 * k.mass * width * width / (math.pi * k.hbar)
+    if not (math.isfinite(period) and period > 0.0):
+        raise ValueError(f"revival period of a width-{width!r} well under- or "
+                         f"overflows to {period!r}; it must be a positive finite number")
+    return period
 
 
 @dataclass(frozen=True)
@@ -109,12 +121,40 @@ def sample_amplitude(state: EvolvedChamberState, grid) -> np.ndarray:
     return basis @ state.coefficients
 
 
+def _uniform_density(state: EvolvedChamberState, intervals: int) -> np.ndarray:
+    """|psi|^2 at theta_j = lo + j*width/M, j = 0..M, by one DST-I.
+
+    psi_j = sqrt(2/width) * sum_n c_n sin(pi*n*j/M). The sine only depends on
+    n mod 2M, so the coefficients are folded onto 2M bins (which handles
+    N > M), and with F the length-2M FFT of the bins, the sum over n is
+    (F[-j] - F[j]) / 2i.
+    """
+    coeffs = state.coefficients
+    period = 2 * intervals
+    bins = np.arange(1, coeffs.size + 1) % period
+    folded = (np.bincount(bins, coeffs.real, minlength=period)
+              + 1j * np.bincount(bins, coeffs.imag, minlength=period))
+    spectrum = np.fft.fft(folded)
+    j = np.arange(intervals + 1)
+    sines = (spectrum[-j % period] - spectrum[j]) / 2j
+    return (2.0 / state.width) * np.abs(sines) ** 2
+
+
 def sample_density(state: EvolvedChamberState, grid) -> np.ndarray:
     """Probability density |psi|^2 on a grid inside the chamber.
+
+    When the grid is exactly ``np.linspace(lo, hi, G)`` over the chamber
+    (G >= 2), the density comes from one FFT of length 2(G-1) in
+    O(N + G log G); any other grid takes the dense O(N*G) route through
+    ``sample_amplitude``. Both agree to rounding.
 
     Dirichlet boundaries force ~0 at the chamber ends; the trapezoid integral
     over the full chamber reproduces the squared norm of the retained modes.
     """
+    grid = _check_grid(state, grid)
+    lo, hi = state.geometry.bounds(state.chamber)
+    if grid.size >= 2 and np.array_equal(grid, np.linspace(lo, hi, grid.size)):
+        return _uniform_density(state, grid.size - 1)
     return np.abs(sample_amplitude(state, grid)) ** 2
 
 

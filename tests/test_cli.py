@@ -135,6 +135,23 @@ def test_coeffs_table_and_discrepancy_log(tmp_path, capsys):
         assert u == -a
 
 
+def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(kind, n, alpha, **kw):
+        calls.append((kind, n))
+        return oracle(kind, n, alpha, **kw)
+
+    oracle = ringsplit.expansion.oracle_coefficient
+    monkeypatch.setattr(ringsplit.cli, "oracle_coefficient", counted)
+    monkeypatch.setattr(ringsplit.expansion, "oracle_coefficient", counted)
+    code, _, _ = run_cli(["coeffs", "--n-trunc", "7", "--discrepancies",
+                          str(tmp_path / "disc.csv")], capsys)
+    assert code == 0
+    assert len(calls) == 4 * 7
+    assert len(set(calls)) == 4 * 7
+
+
 def test_coeffs_single_row(capsys):
     code, out, _ = run_cli(["coeffs", "--alpha", PI4, "--n-trunc", "1"], capsys)
     assert code == 0
@@ -193,6 +210,19 @@ def test_evolve_rejects_time_beyond_phase_resolution(capsys):
     assert code == 2
     assert out == ""
     assert "2**52" in err
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["evolve", "--n-trunc", "10", "--grid-points", "3"], "revival period"),
+    (["energy", "--nm-max", "2"], "energy transfer overflows"),
+    (["cost"], "weight underflowed"),
+], ids=["evolve", "energy", "cost"])
+def test_tiny_alpha_exits_2_with_the_cause(argv, cause, capsys):
+    # at alpha = 1e-300 chamber 1 is too narrow for float64 arithmetic
+    code, out, err = run_cli([*argv, "--alpha", "1e-300"], capsys)
+    assert code == 2
+    assert out == ""
+    assert cause in err
 
 
 def test_evolve_rejects_sweep(capsys):

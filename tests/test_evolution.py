@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ def test_revival_period_formula():
     assert math.isclose(revival_period(2.0), 16.0 / math.pi, rel_tol=1e-15)
     with pytest.raises(ValueError):
         revival_period(0.0)
+    with pytest.raises(ValueError, match="positive finite"):
+        revival_period(1e-300)  # the period underflows to 0
 
 
 def test_evolve_identity_at_time_zero():
@@ -134,3 +137,76 @@ def test_autocorrelation_dips_between_revivals():
     e = _expansion(500)
     period = revival_period(e.geometry.width(1))
     assert abs(autocorrelation(e, 1, 0.31 * period)) < 0.999
+
+
+# ---------------------------------------------------------------- FFT (DST-I) path
+
+def _uniform_grid(e, chamber, points):
+    lo, hi = e.geometry.bounds(chamber)
+    return np.linspace(lo, hi, points)
+
+
+def _fold_edges(points):
+    m = points - 1
+    return sorted({n for n in (1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 5 * m + 3) if n >= 1})
+
+
+@pytest.mark.parametrize("points,n_trunc", [(g, n) for g in (2, 3, 257, 4096)
+                                            for n in _fold_edges(g)])
+def test_uniform_grid_density_matches_dense_basis(points, n_trunc):
+    # the dense oracle costs O(N*G); on the 4096-point grid compare every
+    # 61st point plus both ends instead of all of them
+    picks = np.r_[0:points:1 if points <= 257 else 61, points - 2, points - 1]
+    alpha = 0.7
+    for state in (reference_state(), shifted_state(alpha)):
+        e = expand(state, alpha, n_trunc)
+        for chamber in (1, 2):
+            grid = _uniform_grid(e, chamber, points)
+            period = revival_period(e.geometry.width(chamber))
+            for t in (0.0, 0.37 * period, period / 3):
+                evolved = evolve(e, chamber, t)
+                density = sample_density(evolved, grid)
+                assert density.shape == (points,)
+                dense = np.abs(sample_amplitude(evolved, grid[picks])) ** 2
+                tol = 1e-12 * max(1.0, float(density.max()))
+                assert np.max(np.abs(density[picks] - dense)) <= tol
+
+
+@pytest.mark.parametrize("chamber", [1, 2])
+def test_half_period_mirrors_the_initial_density(chamber):
+    # exp(-i pi n^2) = (-1)^n at T/2 maps psi(theta) to -psi(lo + hi - theta)
+    e = _expansion(3001)
+    grid = _uniform_grid(e, chamber, 4096)
+    start = sample_density(evolve(e, chamber, 0.0), grid)
+    half = revival_period(e.geometry.width(chamber)) / 2
+    mirrored = sample_density(evolve(e, chamber, half), grid)
+    assert np.max(np.abs(mirrored - start[::-1])) < 1e-13
+
+
+def test_uniform_grid_snapshot_allocates_no_dense_basis():
+    # the dense N x G basis would take 2000 * 4096 * 8 B = 66 MB, several times over
+    e = _expansion(2000)
+    state = evolve(e, 2, 0.37)
+    grid = _uniform_grid(e, 2, 4096)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sample_density(state, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("chamber", [1, 2])
+def test_other_grids_take_the_dense_path(chamber):
+    e = _expansion(500)
+    state = evolve(e, chamber, 0.21)
+    lo, hi = e.geometry.bounds(chamber)
+    width = hi - lo
+    sub = np.linspace(lo + 0.1 * width, hi - 0.1 * width, 257)
+    nudged = _uniform_grid(e, chamber, 257)
+    nudged[100] = np.nextafter(nudged[100], hi)
+    for grid in (sub, nudged):
+        np.testing.assert_array_equal(sample_density(state, grid),
+                                      np.abs(sample_amplitude(state, grid)) ** 2)

@@ -103,6 +103,10 @@ def test_sign_discrepancies_enumerate_kind_d_only():
         assert abs(r.adopted - r.oracle) < 1e-10
         assert r.uncorrected == -r.adopted
         assert abs(uncorrected_coefficient("d", r.n, PI4) - r.uncorrected) < 1e-15
+    # oracle values computed elsewhere give the same records
+    oracle = {kind: [oracle_coefficient(kind, n, PI4) for n in range(1, 9)]
+              for kind in "abcd"}
+    assert sign_discrepancies(PI4, 8, oracle=oracle) == records
 
 
 # ---------------------------------------------------------------- expand
