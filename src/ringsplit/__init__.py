@@ -18,15 +18,15 @@ from .expansion import (ChamberExpansion, ChamberGeometry, CoeffDiscrepancy,
                         sign_discrepancies, single_barrier_coefficients,
                         single_well_projection, uncorrected_coefficient, well_energy)
 from .quadrature import ConvergenceError, integrate, project_mode
-from .ring import (DEFAULT_CONSTANTS, PhysicalConstants, RingState, reference_state,
-                   ring_energy, ring_overlap, ring_state, shifted_state)
+from .ring import (RingState, reference_state, ring_energy, ring_overlap, ring_state,
+                   shifted_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarrierModel", "ChamberExpansion", "ChamberGeometry", "CoeffDiscrepancy",
-    "ConvergenceError", "DEFAULT_CONSTANTS", "DiscriminationReport",
-    "EvolvedChamberState", "ExtendedState", "PhysicalConstants", "RingState",
+    "ConvergenceError", "DiscriminationReport", "EvolvedChamberState",
+    "ExtendedState", "RingState",
     "autocorrelation", "build_extended", "coefficient", "delta_energy", "evolve",
     "expand", "extended_overlap", "helstrom_cost", "helstrom_oracle", "integrate",
     "oracle_coefficient", "post_insertion_cost", "project_mode", "reference_state",

@@ -1,8 +1,9 @@
 """Command-line driver: parameter sweeps, tables, CSV/JSON emission.
 
-Subcommands: ``cost``, ``coeffs``, ``energy``, ``evolve``, ``parseval``.
-Output is deterministic: floats are printed with 17 significant digits and a
-'.' decimal point, rows are ordered by sweep index, so identical
+Subcommands: ``cost``, ``coeffs``, ``energy``, ``evolve``, ``parseval``. Each
+accepts only the flags it reads, and its ``run_<command>`` takes the parsed
+namespace. Output is deterministic: floats are printed with 17 significant
+digits and a '.' decimal point, rows are ordered by sweep index, so identical
 configurations give byte-identical files. Configuration precedence is flags >
 config file (JSON, path from --config or the RINGSPLIT_CONFIG environment
 variable) > built-in defaults; config values are converted and checked by the
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -35,39 +35,13 @@ FORMAT_CHOICES = ("csv", "json")
 CANDIDATE_CHOICES = ("reference", "shifted")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters for one invocation."""
-
-    alphas: tuple[float, ...]
-    n_truncs: tuple[int, ...]
-    epsilon: float
-    variant: str
-    fmt: str
-    out: str | None
-
-    def __post_init__(self):
-        if len(self.alphas) < 1:
-            raise ValueError("alpha sweep must contain at least one point")
-        if len(self.n_truncs) < 1 or any(n < 1 for n in self.n_truncs):
-            raise ValueError("truncation values must be positive")
-        BarrierModel(self.epsilon)
-
-    @property
-    def n_trunc(self) -> int:
-        if len(self.n_truncs) != 1:
-            raise ValueError("this command takes exactly one --n-trunc value")
-        return self.n_truncs[0]
-
-
 def _format_value(value) -> str:
+    # rows hold str, int, float and np.float64 only
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(value)
+    return format(value, ".17g")
 
 
 def _write_csv(header, rows, stream) -> None:
@@ -78,24 +52,18 @@ def _write_csv(header, rows, stream) -> None:
 
 
 def _write_json(header, rows, stream) -> None:
-    def native(v):
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        return v
-
-    records = [{key: native(v) for key, v in zip(header, row)} for row in rows]
+    # np.float64 is a float subclass, so json writes it as float.__repr__ does
+    records = [dict(zip(header, row)) for row in rows]
     json.dump(records, stream, indent=2)
     stream.write("\n")
 
 
-def _emit(header, rows, cfg: RunConfig) -> None:
-    writer = _write_csv if cfg.fmt == "csv" else _write_json
-    if cfg.out is None:
+def _emit(header, rows, args: argparse.Namespace) -> None:
+    writer = _write_csv if args.format == "csv" else _write_json
+    if args.out is None:
         writer(header, rows, sys.stdout)
     else:
-        with open(cfg.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             writer(header, rows, fh)
 
 
@@ -111,6 +79,12 @@ def _parse_sweep(raw: str) -> tuple[float, ...]:
     if count == 1:
         return (start,)
     return tuple(np.linspace(start, stop, count).tolist())
+
+
+def _alphas(args: argparse.Namespace) -> tuple[float, ...]:
+    if args.alpha_sweep is not None:
+        return _parse_sweep(args.alpha_sweep)
+    return (math.pi / 4.0 if args.alpha is None else args.alpha,)
 
 
 def _number_list(cast):
@@ -190,10 +164,10 @@ COST_HEADER = [
 ]
 
 
-def run_cost(cfg: RunConfig):
+def run_cost(args: argparse.Namespace):
+    bm = BarrierModel(args.epsilon)
     # each header name is a DiscriminationReport field
-    reports = [post_insertion_cost(alpha, cfg.n_trunc, BarrierModel(cfg.epsilon))
-               for alpha in cfg.alphas]
+    reports = [post_insertion_cost(alpha, args.n_trunc, bm) for alpha in _alphas(args)]
     return COST_HEADER, [[getattr(r, key) for key in COST_HEADER] for r in reports]
 
 
@@ -211,11 +185,11 @@ COEFF_HEADER = [
 DISCREPANCY_HEADER = ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
 
 
-def run_coeffs(cfg: RunConfig, discrepancy_path: str | None):
+def run_coeffs(args: argparse.Namespace):
     rows = []
     discrepancy_rows = []
-    n_trunc = cfg.n_trunc
-    for alpha in cfg.alphas:
+    n_trunc = args.n_trunc
+    for alpha in _alphas(args):
         exp_ref = expand(reference_state(), alpha, n_trunc)
         exp_sh = expand(shifted_state(alpha), alpha, n_trunc)
         deficit_ref = exp_ref.deficit
@@ -234,8 +208,8 @@ def run_coeffs(cfg: RunConfig, discrepancy_path: str | None):
                          deficit_ref, deficit_sh])
         discrepancy_rows.extend([getattr(rec, key) for key in DISCREPANCY_HEADER]
                                 for rec in sign_discrepancies(alpha, n_trunc, oracle=oracle))
-    if discrepancy_path is not None:
-        with open(discrepancy_path, "w", newline="") as fh:
+    if args.discrepancies is not None:
+        with open(args.discrepancies, "w", newline="") as fh:
             _write_csv(DISCREPANCY_HEADER, discrepancy_rows, fh)
     elif discrepancy_rows:
         print(f"note: {len(discrepancy_rows)} oracle sign corrections recorded; "
@@ -245,15 +219,16 @@ def run_coeffs(cfg: RunConfig, discrepancy_path: str | None):
 
 # ---------------------------------------------------------------- energy
 
-def run_energy(cfg: RunConfig, nm_max: int):
+def run_energy(args: argparse.Namespace):
+    nm_max = args.nm_max
     if nm_max < 1:
         raise ValueError("--nm-max must be >= 1")
-    both = cfg.variant == "both"
+    both = args.variant == "both"
     header = ["alpha", "n", "m"] + (["delta_e_nominal", "delta_e_conserving",
                                      "variant_difference"] if both else ["delta_e"])
     idx = np.arange(1, nm_max + 1)
     rows = []
-    for alpha in cfg.alphas:
+    for alpha in _alphas(args):
         # (n, m) grids flattened with n outer and m inner, the order of product()
         grids = (delta_energy(idx[:, None], idx, alpha, variant=v) for v in DELTA_E_VARIANTS)
         nominal, conserving = (grid.ravel().tolist() for grid in grids)
@@ -262,7 +237,7 @@ def run_energy(cfg: RunConfig, nm_max: int):
             rows.extend([alpha, n, m, nom, con, nom - con]
                         for (n, m), nom, con in zip(pairs, nominal, conserving))
         else:
-            chosen = nominal if cfg.variant == "nominal" else conserving
+            chosen = nominal if args.variant == "nominal" else conserving
             rows.extend([alpha, n, m, value] for (n, m), value in zip(pairs, chosen))
     return header, rows
 
@@ -272,21 +247,23 @@ def run_energy(cfg: RunConfig, nm_max: int):
 EVOLVE_HEADER = ["theta", "density", "t", "chamber"]
 
 
-def run_evolve(cfg: RunConfig, candidate: str, chambers, grid_points: int,
-               time_fracs, times):
-    if len(cfg.alphas) != 1:
+def run_evolve(args: argparse.Namespace):
+    alphas = _alphas(args)
+    if len(alphas) != 1:
         raise ValueError("evolve takes a single --alpha, not a sweep")
-    if grid_points < 2:
+    if args.grid_points < 2:
         raise ValueError("--grid-points must be >= 2")
-    alpha = cfg.alphas[0]
-    state = reference_state() if candidate == "reference" else shifted_state(alpha)
-    expansion = expand(state, alpha, cfg.n_trunc)
+    alpha = alphas[0]
+    state = reference_state() if args.candidate == "reference" else shifted_state(alpha)
+    expansion = expand(state, alpha, args.n_trunc)
+    chambers = (1, 2) if args.chamber == "both" else (int(args.chamber),)
     rows = []
     for chamber in chambers:
         lo, hi = expansion.geometry.bounds(chamber)
-        grid = np.linspace(lo, hi, grid_points)
+        grid = np.linspace(lo, hi, args.grid_points)
         period = revival_period(expansion.geometry.width(chamber))
-        chamber_times = times if times is not None else [f * period for f in time_fracs]
+        chamber_times = args.times if args.times is not None else \
+            [f * period for f in args.time_fracs]
         for t in chamber_times:
             density = sample_density(evolve(expansion, chamber, t), grid)
             rows.extend([float(theta), float(rho), float(t), chamber]
@@ -304,11 +281,11 @@ PARSEVAL_HEADER = [
 ]
 
 
-def run_parseval(cfg: RunConfig):
+def run_parseval(args: argparse.Namespace):
     rows = []
-    for alpha in cfg.alphas:
+    for alpha in _alphas(args):
         target = ring_overlap(reference_state(), shifted_state(alpha))
-        for n_trunc in cfg.n_truncs:
+        for n_trunc in args.n_trunc:
             exp_ref = expand(reference_state(), alpha, n_trunc)
             exp_sh = expand(shifted_state(alpha), alpha, n_trunc)
             sum_rule = float(exp_ref.norm_coeffs_1 @ exp_sh.norm_coeffs_1
@@ -322,24 +299,24 @@ def run_parseval(cfg: RunConfig):
 
 # ---------------------------------------------------------------- parser
 
-def _add_common_flags(parser: argparse.ArgumentParser, n_trunc: str) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, run) -> None:
+    """The flags every subcommand reads, and the function that runs it."""
+    parser.set_defaults(run=run)
     alpha_group = parser.add_mutually_exclusive_group()
     alpha_group.add_argument("--alpha", type=float, default=None,
                              help="barrier angle in radians, in (0, pi/2] (default pi/4)")
     alpha_group.add_argument("--alpha-sweep", default=None, metavar="START:STOP:COUNT",
                              help="inclusive linear sweep over alpha")
-    parser.add_argument("--n-trunc", type=_number_list(int), default=n_trunc,
-                        help="expansion truncation; parseval accepts a comma list "
-                             f"(default {n_trunc})")
-    parser.add_argument("--epsilon", type=float, default=0.0,
-                        help="barrier-state overlap in [0, 1] (default 0)")
-    parser.add_argument("--variant", choices=VARIANT_CHOICES, default="both",
-                        help="energy-transfer variant (default both)")
     parser.add_argument("--format", choices=FORMAT_CHOICES, default="csv",
                         help="output format (default csv)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--config", default=os.environ.get(ENV_CONFIG),
                         help=f"JSON config file (default from ${ENV_CONFIG})")
+
+
+def _add_n_trunc(parser: argparse.ArgumentParser, default: int) -> None:
+    parser.add_argument("--n-trunc", type=int, default=default,
+                        help=f"expansion truncation (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,21 +327,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # run is looked up here, on each build, so that a patched cli.run_* is the one called
     p_cost = sub.add_parser("cost", help="Bayes cost before/after insertion")
-    _add_common_flags(p_cost, n_trunc="1000")
+    _add_common_flags(p_cost, run_cost)
+    _add_n_trunc(p_cost, 1000)
+    p_cost.add_argument("--epsilon", type=float, default=0.0,
+                        help="barrier-state overlap in [0, 1] (default 0)")
 
     p_coeffs = sub.add_parser("coeffs", help="expansion coefficients and oracle check")
-    _add_common_flags(p_coeffs, n_trunc="50")
+    _add_common_flags(p_coeffs, run_coeffs)
+    _add_n_trunc(p_coeffs, 50)
     p_coeffs.add_argument("--discrepancies", default=None, metavar="PATH",
                           help="write oracle sign corrections to this CSV")
 
     p_energy = sub.add_parser("energy", help="energy-transfer table over (n, m)")
-    _add_common_flags(p_energy, n_trunc="1000")
+    _add_common_flags(p_energy, run_energy)
+    p_energy.add_argument("--variant", choices=VARIANT_CHOICES, default="both",
+                          help="energy-transfer variant (default both)")
     p_energy.add_argument("--nm-max", type=int, default=100,
                           help="largest mode index per chamber (default 100)")
 
     p_evolve = sub.add_parser("evolve", help="density snapshots at chosen times")
-    _add_common_flags(p_evolve, n_trunc="1000")
+    _add_common_flags(p_evolve, run_evolve)
+    _add_n_trunc(p_evolve, 1000)
     p_evolve.add_argument("--candidate", choices=CANDIDATE_CHOICES, default="reference",
                           help="which candidate to evolve (default reference)")
     p_evolve.add_argument("--chamber", choices=("1", "2", "both"), default="both",
@@ -379,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma list of absolute times (overrides --time-fracs)")
 
     p_parseval = sub.add_parser("parseval", help="completeness deficits vs truncation")
-    _add_common_flags(p_parseval, n_trunc="100,1000,10000")
+    _add_common_flags(p_parseval, run_parseval)
+    p_parseval.add_argument("--n-trunc", type=_number_list(int), default="100,1000,10000",
+                            help="comma list of truncations (default 100,1000,10000)")
 
     return parser
 
@@ -390,26 +377,8 @@ def main(argv=None) -> int:
     try:
         _apply_config(parser, flags)
         args = parser.parse_args(argv)
-        if args.alpha_sweep is not None:
-            alphas = _parse_sweep(args.alpha_sweep)
-        else:
-            alphas = (math.pi / 4.0 if args.alpha is None else args.alpha,)
-        cfg = RunConfig(alphas=alphas, n_truncs=args.n_trunc, epsilon=args.epsilon,
-                        variant=args.variant, fmt=args.format, out=args.out)
-        if args.command == "cost":
-            header, rows = run_cost(cfg)
-        elif args.command == "coeffs":
-            header, rows = run_coeffs(cfg, args.discrepancies)
-        elif args.command == "energy":
-            header, rows = run_energy(cfg, args.nm_max)
-        elif args.command == "evolve":
-            chambers = (1, 2) if args.chamber == "both" else (int(args.chamber),)
-            header, rows = run_evolve(cfg, candidate=args.candidate, chambers=chambers,
-                                      grid_points=args.grid_points,
-                                      time_fracs=args.time_fracs, times=args.times)
-        else:
-            header, rows = run_parseval(cfg)
-        _emit(header, rows, cfg)
+        header, rows = args.run(args)
+        _emit(header, rows, args)
     except ConvergenceError as exc:
         print(f"ringsplit: quadrature failed to converge: {exc}", file=sys.stderr)
         return 1

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import ChamberExpansion, ChamberGeometry, expand, node_barrier
-from .ring import (DEFAULT_CONSTANTS, PhysicalConstants, reference_state,
-                   ring_overlap, shifted_state)
+from .ring import reference_state, ring_overlap, shifted_state
 
 NOTE_TENSOR_MODEL = (
     "overlap_after uses the literal two-chamber tensor model; with epsilon > 0 "
@@ -167,8 +166,7 @@ class DiscriminationReport:
 
 
 def post_insertion_cost(alpha: float, n_trunc: int = 1000,
-                        bm: BarrierModel = BarrierModel(0.0),
-                        k: PhysicalConstants = DEFAULT_CONSTANTS) -> DiscriminationReport:
+                        bm: BarrierModel = BarrierModel(0.0)) -> DiscriminationReport:
     """Full before/after report for the candidate pair at one barrier angle."""
     ref = reference_state()
     sh = shifted_state(alpha)

@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import ChamberExpansion, ChamberGeometry
-from .ring import DEFAULT_CONSTANTS, PhysicalConstants
+from .ring import HBAR, MASS
 
 
-def revival_period(width: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def revival_period(width: float) -> float:
     """Exact recurrence time 4*M*width^2/(pi*hbar) of a Dirichlet well."""
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width!r}")
-    period = 4.0 * k.mass * width * width / (math.pi * k.hbar)
+    period = 4.0 * MASS * width * width / (math.pi * HBAR)
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"revival period of a width-{width!r} well under- or "
                          f"overflows to {period!r}; it must be a positive finite number")
@@ -55,7 +55,6 @@ class EvolvedChamberState:
     chamber: int
     base_coefficients: np.ndarray = field(repr=False)
     time: float
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     @property
     def width(self) -> float:
@@ -69,7 +68,7 @@ class EvolvedChamberState:
     def phases(self) -> np.ndarray:
         """exp(-i*E_n*time/hbar) per mode, via the fractional part of n^2*t/T."""
         n = np.arange(1, self.base_coefficients.size + 1, dtype=float)
-        tau = self.time / revival_period(self.width, self.constants)
+        tau = self.time / revival_period(self.width)
         return np.exp(-2j * math.pi * np.mod(n * n * tau, 1.0))
 
     @property
@@ -78,8 +77,7 @@ class EvolvedChamberState:
         return self.base_coefficients * self.phases()
 
 
-def evolve(expansion: ChamberExpansion, chamber: int, t: float,
-           k: PhysicalConstants = DEFAULT_CONSTANTS) -> EvolvedChamberState:
+def evolve(expansion: ChamberExpansion, chamber: int, t: float) -> EvolvedChamberState:
     """Propagate one chamber of an expansion to time t (phases only).
 
     Rejects |t| >= 2**52 * T / n_trunc^2: the top mode's phase n^2 * t/T would
@@ -88,7 +86,7 @@ def evolve(expansion: ChamberExpansion, chamber: int, t: float,
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     coeffs = np.asarray(expansion.norm_coeffs(chamber), dtype=float)
-    period = revival_period(expansion.geometry.width(chamber), k)
+    period = revival_period(expansion.geometry.width(chamber))
     if coeffs.size ** 2 * abs(t) / period >= 2.0 ** 52:
         raise ValueError(
             f"time {t!r} is too large to resolve the phases of {coeffs.size} modes: "
@@ -98,7 +96,6 @@ def evolve(expansion: ChamberExpansion, chamber: int, t: float,
         chamber=chamber,
         base_coefficients=coeffs,
         time=float(t),
-        constants=k,
     )
 
 
@@ -158,14 +155,13 @@ def sample_density(state: EvolvedChamberState, grid) -> np.ndarray:
     return np.abs(sample_amplitude(state, grid)) ** 2
 
 
-def autocorrelation(expansion: ChamberExpansion, chamber: int, t: float,
-                    k: PhysicalConstants = DEFAULT_CONSTANTS) -> complex:
+def autocorrelation(expansion: ChamberExpansion, chamber: int, t: float) -> complex:
     """Normalized overlap of the chamber state at time t with its t=0 self.
 
     sum(|A_n|^2 exp(-i*E_n*t/hbar)) / sum(|A_n|^2); magnitude <= 1, equal to 1
     at t=0 and at every multiple of the revival period.
     """
-    state = evolve(expansion, chamber, t, k)
+    state = evolve(expansion, chamber, t)
     weights = (state.base_coefficients ** 2).astype(complex)
     total = complex(weights.sum())
     if total.real <= 0.0:

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import project_mode
-from .ring import (DEFAULT_CONSTANTS, TWO_PI, UNIT_RING_NORM,
-                   PhysicalConstants, RingState)
+from .ring import HBAR, MASS, TWO_PI, RingState
 
 HALF_PI = 0.5 * math.pi
 
@@ -204,10 +203,12 @@ def node_barrier(offset: float, alpha: float) -> int:
     Only the two discrimination candidates have a node on a barrier; any
     other offset is rejected.
     """
+    # relative to alpha, so that the two barriers stay apart however small alpha is
+    tol = 1e-12 * alpha
     reduced = math.fmod(offset, TWO_PI)
-    if abs(reduced) < 1e-12 or abs(reduced - TWO_PI) < 1e-12:
+    if abs(reduced) <= tol or abs(reduced - TWO_PI) <= tol:
         return 0
-    if abs(reduced - alpha) < 1e-12:
+    if abs(reduced - alpha) <= tol:
         return 1
     raise ValueError("state offset must sit on one of the barriers (0 or alpha); "
                      f"got offset={offset!r} with alpha={alpha!r}")
@@ -223,12 +224,8 @@ def expand(state: RingState, alpha: float, n_trunc: int) -> ChamberExpansion:
     if n_trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {n_trunc}")
     n = np.arange(1, n_trunc + 1)
-    # closed forms assume the 1/sqrt(pi) candidate normalization; keep the
-    # default path exactly scale-free
-    scale = 1.0 if state.normalization == UNIT_RING_NORM \
-        else state.normalization * math.sqrt(math.pi)
     kinds = ("a", "b") if node_barrier(state.offset, alpha) == 0 else ("c", "d")
-    c1, c2 = (coefficient(kind, n, alpha) * scale for kind in kinds)
+    c1, c2 = (coefficient(kind, n, alpha) for kind in kinds)
     return ChamberExpansion(
         geometry=geometry,
         n_trunc=int(n_trunc),
@@ -251,15 +248,13 @@ def single_barrier_coefficients(state: RingState, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"truncation must be >= 1, got {n_max}")
     delta = state.offset
-    scale = 1.0 if state.normalization == UNIT_RING_NORM \
-        else state.normalization * math.sqrt(math.pi)
     n = np.arange(1, n_max + 1)
     out = np.zeros(n_max)
     out[n == 2] = math.cos(delta)
     odd = n % 2 == 1
     nf = n[odd].astype(float)
     out[odd] = -math.sin(delta) * (4.0 * nf / (nf * nf - 4.0)) / math.pi
-    return out * scale
+    return out
 
 
 def single_well_projection(state, n: int, *, tol: float = 1e-12) -> float:
@@ -271,20 +266,19 @@ def single_well_projection(state, n: int, *, tol: float = 1e-12) -> float:
     return project_mode(f, 0.0, TWO_PI, n, tol=tol)
 
 
-def well_energy(n: int, width: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def well_energy(n: int, width: float) -> float:
     """Dirichlet-well level n^2 pi^2 hbar^2 / (2 M width^2)."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width!r}")
-    return (n * math.pi * k.hbar / width) ** 2 / (2.0 * k.mass)
+    return (n * math.pi * HBAR / width) ** 2 / (2.0 * MASS)
 
 
 DELTA_E_VARIANTS = ("nominal", "conserving")
 
 
-def delta_energy(n, m, alpha: float, k: PhysicalConstants = DEFAULT_CONSTANTS,
-                 variant: str = "nominal"):
+def delta_energy(n, m, alpha: float, variant: str = "nominal"):
     """Energy transferred by the non-nodal barrier when the candidate lands on
     chamber modes (n, m).
 
@@ -297,7 +291,7 @@ def delta_energy(n, m, alpha: float, k: PhysicalConstants = DEFAULT_CONSTANTS,
     alpha = _check_alpha(alpha)
     n = _levels(n)
     m = _levels(m)
-    pref = math.pi**2 * k.hbar**2 / (2.0 * k.mass)
+    pref = math.pi**2 * HBAR**2 / (2.0 * MASS)
     if variant not in DELTA_E_VARIANTS:
         raise ValueError(f"variant must be one of {DELTA_E_VARIANTS}, got {variant!r}")
     with np.errstate(over="ignore", divide="ignore"):
@@ -305,7 +299,7 @@ def delta_energy(n, m, alpha: float, k: PhysicalConstants = DEFAULT_CONSTANTS,
         if variant == "nominal":
             out = chambers - pref / (4.0 * math.pi**2)
         else:
-            out = chambers - k.hbar**2 / (2.0 * k.mass)
+            out = chambers - HBAR**2 / (2.0 * MASS)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"energy transfer overflows at alpha={alpha!r}: the "
                          "chamber levels are not finite numbers")

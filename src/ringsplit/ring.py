@@ -1,11 +1,11 @@
-"""Ring geometry, physical constants, and the two candidate wave functions.
+"""Ring geometry and the two candidate wave functions.
 
 The configuration space is a ring of radius 1, coordinate theta in [0, 2*pi],
-with Hamiltonian -hbar^2/(2M) d^2/dtheta^2. The two states to be discriminated
-are sine waves of unit angular frequency, differing only by a rigid rotation:
-the *reference* candidate sin(theta)/sqrt(pi) and the *shifted* candidate
-sin(theta - alpha)/sqrt(pi). Everything here is a pure function of immutable
-values.
+with Hamiltonian -hbar^2/(2M) d^2/dtheta^2 in natural units hbar = M = 1. The
+two states to be discriminated are unit-norm sine waves of unit angular
+frequency, differing only by a rigid rotation: the *reference* candidate
+sin(theta)/sqrt(pi) and the *shifted* candidate sin(theta - alpha)/sqrt(pi).
+Everything here is a pure function of immutable values.
 """
 from __future__ import annotations
 
@@ -19,45 +19,31 @@ TWO_PI = 2.0 * math.pi
 #: L2 normalization of a unit-frequency sine over the full ring.
 UNIT_RING_NORM = 1.0 / math.sqrt(math.pi)
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """hbar and particle mass M, in natural units by default (ring radius fixed at 1)."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
+#: Natural units (ring radius 1). The formulas keep both symbols so that each
+#: one reads as its physics and keeps its floating-point operation order.
+HBAR = 1.0
+MASS = 1.0
 
 
-DEFAULT_CONSTANTS = PhysicalConstants()
-
-
-def ring_energy(n: int, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def ring_energy(n: int) -> float:
     """Ring eigenvalue hbar^2 n^2 / (2 M) for level n >= 1."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    return k.hbar * k.hbar * n * n / (2.0 * k.mass)
+    return HBAR * HBAR * n * n / (2.0 * MASS)
 
 
 @dataclass(frozen=True)
 class RingState:
-    """A rotated unit-frequency sine on the ring: normalization * sin(theta - offset).
+    """A rotated unit-frequency sine on the ring: sin(theta - offset)/sqrt(pi).
 
-    With the default normalization 1/sqrt(pi) the state has unit L2 norm on
-    [0, 2*pi] for any offset.
+    The state has unit L2 norm on [0, 2*pi] for any offset.
     """
 
     offset: float
-    normalization: float = UNIT_RING_NORM
 
     def amplitude(self, theta):
         """Wave-function value at theta (scalar or array)."""
-        return self.normalization * np.sin(np.asarray(theta, dtype=float) - self.offset)
+        return UNIT_RING_NORM * np.sin(np.asarray(theta, dtype=float) - self.offset)
 
 
 def ring_state(offset: float) -> RingState:
@@ -81,8 +67,10 @@ def ring_overlap(a: RingState, b: RingState) -> float:
     """Exact inner product <a|b> over the ring.
 
     For two rotated sines the integral is pi * cos(delta) times the two
-    normalizations, delta being the offset difference; for the default
-    candidates this is cos(alpha), so the squared overlap is cos^2(alpha).
+    normalizations, delta being the offset difference; for the candidates
+    this is cos(alpha), so the squared overlap is cos^2(alpha).
     """
     delta = b.offset - a.offset
-    return math.pi * a.normalization * b.normalization * math.cos(delta)
+    # pi * UNIT_RING_NORM**2 rounds to 0.9999999999999999, not 1; dropping the
+    # factors would change the last bit of every printed overlap_before
+    return math.pi * UNIT_RING_NORM * UNIT_RING_NORM * math.cos(delta)

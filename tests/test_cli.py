@@ -225,6 +225,15 @@ def test_tiny_alpha_exits_2_with_the_cause(argv, cause, capsys):
     assert cause in err
 
 
+def test_tiny_alpha_candidates_stay_distinct(capsys):
+    # below 1e-12 the shifted candidate was once taken for the reference
+    code, out, _ = run_cli(["cost", "--alpha", "1e-13", "--n-trunc", "100"], capsys)
+    assert code == 0
+    header, rows = read_csv_text(out)
+    assert col(header, rows, "overlap_after") == [0.0]
+    assert col(header, rows, "cost_after") == [0.0]
+
+
 def test_evolve_rejects_sweep(capsys):
     code, _, err = run_cli(
         ["evolve", "--alpha-sweep", "0.2:1.0:3", "--grid-points", "10"], capsys)
@@ -301,6 +310,29 @@ def test_config_keys_of_other_subcommands_allowed(tmp_path, capsys):
     assert code == 0
     header, rows = read_csv_text(out)
     assert col(header, rows, "n_trunc", int) == [12]
+
+    # energy reads only variant; n_trunc and epsilon belong to other subcommands
+    config.write_text(json.dumps({"n_trunc": 12, "epsilon": 0.5, "variant": "conserving"}))
+    energy = ["energy", "--alpha", PI4, "--nm-max", "3"]
+    code_config, out_config, _ = run_cli([*energy, "--config", str(config)], capsys)
+    code_flags, out_flags, _ = run_cli([*energy, "--variant", "conserving"], capsys)
+    assert code_config == code_flags == 0
+    assert out_config == out_flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--n-trunc", "5"],
+    ["energy", "--epsilon", "0.1"],
+    ["coeffs", "--epsilon", "0.1"],
+    ["evolve", "--variant", "both"],
+    ["parseval", "--epsilon", "0"],
+    ["cost", "--variant", "nominal"],
+], ids=lambda argv: "-".join(argv[:2]).replace("--", ""))
+def test_flag_of_another_subcommand_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    capsys.readouterr()
 
 
 FLAGS_AND_CONFIG = {

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ringsplit import (ChamberGeometry, RingState, coefficient, delta_energy,
+from ringsplit import (ChamberGeometry, coefficient, delta_energy,
                        expand, oracle_coefficient, reference_state, ring_state,
                        shifted_state, sign_discrepancies,
                        single_barrier_coefficients, single_well_projection,
                        uncorrected_coefficient, well_energy)
+from ringsplit.expansion import node_barrier
 
 PI4 = math.pi / 4
 ORACLE_ALPHAS = [math.pi / 6, math.pi / 4, math.pi / 3]
@@ -134,6 +135,13 @@ def test_expand_rejects_off_barrier_offset():
         expand(ring_state(0.123), PI4, 4)
 
 
+def test_node_barrier_tolerance_scales_with_alpha():
+    # the barriers at 0 and alpha stay apart however close alpha is to 0
+    assert node_barrier(0.0, 1e-13) == 0
+    assert node_barrier(1e-13, 1e-13) == 1
+    assert node_barrier(5e-324, 5e-324) == 1
+
+
 def test_expand_rejects_bad_truncation():
     with pytest.raises(ValueError):
         expand(reference_state(), PI4, 0)
@@ -167,13 +175,6 @@ def test_sum_rule_converges_to_ring_overlap():
                   + e_ref.norm_coeffs_2 @ e_sh.norm_coeffs_2)
     assert abs(total - math.cos(PI4)) < 10.0 * e_ref.deficit
     assert abs(total - math.cos(PI4)) < 2e-7
-
-
-def test_expand_scales_with_normalization():
-    half = RingState(offset=0.0, normalization=0.5 / math.sqrt(math.pi))
-    e = expand(half, PI4, 5)
-    np.testing.assert_allclose(e.coeffs_1, 0.5 * coefficient("a", np.arange(1, 6), PI4),
-                               rtol=1e-15)
 
 
 # ---------------------------------------------------------------- single barrier

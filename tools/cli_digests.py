@@ -1,0 +1,74 @@
+"""Print a sha256 digest of every output file of a fixed set of CLI runs.
+
+Usage, from anywhere in a checkout:
+
+    python3 tools/cli_digests.py
+
+Each run is ``python -m ringsplit.cli ARGV --format FMT --out FILE`` with the
+checkout's ``src/`` on PYTHONPATH, once per output format, writing into a
+temporary directory. One ``sha256  name`` line is printed per file, including
+the sign-correction CSV that ``coeffs --discrepancies`` writes. Run it before
+and after a change and compare the two outputs: a refactor that keeps the
+tables byte-identical prints the same lines. Exits 1 if any run fails.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PI4 = "0.7853981633974483"
+
+#: name -> argv; each runs once per format
+RUNS = {
+    "cost-sweep": ["cost", "--alpha-sweep", "0.2:1.4:5", "--n-trunc", "300",
+                   "--epsilon", "0.25"],
+    "cost-single": ["cost", "--alpha", PI4, "--n-trunc", "1000"],
+    "coeffs": ["coeffs", "--alpha", PI4, "--n-trunc", "50"],
+    "energy-nominal": ["energy", "--alpha", "0.5", "--nm-max", "30", "--variant", "nominal"],
+    "energy-conserving": ["energy", "--alpha", "0.5", "--nm-max", "30",
+                          "--variant", "conserving"],
+    "energy-both": ["energy", "--alpha", "0.5", "--nm-max", "30", "--variant", "both"],
+    "energy-sweep": ["energy", "--alpha-sweep", "0.3:1.5:3", "--nm-max", "7"],
+    "evolve-reference": ["evolve", "--alpha", "0.7", "--n-trunc", "400", "--grid-points",
+                         "257", "--time-fracs", "0,0.37,1", "--candidate", "reference"],
+    "evolve-shifted": ["evolve", "--alpha", "0.7", "--n-trunc", "400", "--grid-points",
+                       "257", "--time-fracs", "0,0.37,1", "--candidate", "shifted"],
+    "evolve-times": ["evolve", "--alpha", "0.7", "--times", "0.1,2.5", "--chamber", "2"],
+    "parseval": ["parseval", "--alpha", "1.1", "--n-trunc", "100,1000,10000"],
+    "parseval-sweep": ["parseval", "--alpha-sweep", "0.3:1.5:4", "--n-trunc", "10,100"],
+}
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("RINGSPLIT_CONFIG", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in RUNS.items():
+            for fmt in ("csv", "json"):
+                out = Path(tmp, f"{name}.{fmt}")
+                files = [out]
+                extra = []
+                if argv[0] == "coeffs":
+                    files.append(Path(tmp, f"{name}.{fmt}.D.csv"))
+                    extra = ["--discrepancies", str(files[1])]
+                result = subprocess.run(
+                    [sys.executable, "-m", "ringsplit.cli", *argv, "--format", fmt,
+                     "--out", str(out), *extra],
+                    env=env, capture_output=True, text=True)
+                if result.returncode != 0:
+                    print(f"{name}.{fmt}: exit {result.returncode}\n{result.stderr}",
+                          file=sys.stderr)
+                    return 1
+                for path in files:
+                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
