@@ -14,9 +14,10 @@ from .discrimination import (BarrierModel, DiscriminationReport, ExtendedState,
 from .evolution import (EvolvedChamberState, autocorrelation, evolve,
                         revival_period, sample_amplitude, sample_density)
 from .expansion import (ChamberExpansion, ChamberGeometry, CoeffDiscrepancy,
-                        coefficient, delta_energy, expand, oracle_coefficient,
-                        sign_discrepancies, single_barrier_coefficients,
-                        single_well_projection, uncorrected_coefficient, well_energy)
+                        TruncationSums, coefficient, delta_energy, expand,
+                        oracle_coefficient, sign_discrepancies,
+                        single_barrier_coefficients, single_well_projection,
+                        truncation_sums, uncorrected_coefficient)
 from .quadrature import ConvergenceError, integrate, project_mode
 from .ring import (RingState, reference_state, ring_energy, ring_overlap, ring_state,
                    shifted_state)
@@ -26,12 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierModel", "ChamberExpansion", "ChamberGeometry", "CoeffDiscrepancy",
     "ConvergenceError", "DiscriminationReport", "EvolvedChamberState",
-    "ExtendedState", "RingState",
+    "ExtendedState", "RingState", "TruncationSums",
     "autocorrelation", "build_extended", "coefficient", "delta_energy", "evolve",
     "expand", "extended_overlap", "helstrom_cost", "helstrom_oracle", "integrate",
     "oracle_coefficient", "post_insertion_cost", "project_mode", "reference_state",
     "revival_period", "ring_energy", "ring_overlap", "ring_state",
     "sample_amplitude", "sample_density", "shifted_state", "sign_discrepancies",
-    "single_barrier_coefficients", "single_well_projection",
-    "uncorrected_coefficient", "well_energy",
+    "single_barrier_coefficients", "single_well_projection", "truncation_sums",
+    "uncorrected_coefficient",
 ]

@@ -18,7 +18,15 @@ Two coefficient conventions run in parallel:
 * the *normalized* coefficients are projections onto the orthonormal modes
   sqrt(2/width)*sin(...): A_n = sqrt(2*pi/alpha) * a_n for chamber 1 and
   B_m = sqrt(2*pi/(2*pi - alpha)) * b_m for chamber 2. Their squares sum to 1
-  as the truncation grows (Parseval), and 1 minus that sum is the *deficit*.
+  as the truncation grows (Parseval); the squares beyond the truncation sum
+  to the *deficit*.
+
+Every sum over the modes n <= N that the reports print is a sum of
+f(n, b) = n^2/(n^2 - b^2)^2, some with a factor (-1)^n: A_n^2 = K1*f(n, b1)
+with b1 = alpha/pi and B_n^2 = K2*f(n, b2) with b2 = 2 - alpha/pi.
+``truncation_sums`` evaluates them in O(1) for any N: the first modes term by
+term, the rest from the Hurwitz zeta values of the series
+f(n, b) = sum_k (k+1) b^(2k) n^(-2k-2) (Abramowitz & Stegun 6.4, 23.2).
 
 The adopted closed forms are sign-resolved against the quadrature oracle in
 :mod:`ringsplit.quadrature`; ``sign_discrepancies`` documents every place the
@@ -28,7 +36,10 @@ for all n).
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +52,6 @@ HALF_PI = 0.5 * math.pi
 CHAMBERS = (1, 2)
 
 COEFF_KINDS = ("a", "b", "c", "d")
-
-_DENOM_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,22 @@ class ChamberGeometry:
 def _check_alpha(alpha: float) -> float:
     ChamberGeometry(alpha)
     return float(alpha)
+
+
+def _weight_scales(alpha: float) -> tuple[float, float]:
+    """K1 = 2*alpha*sin(alpha)^2/pi^3 and K2 = 2*(2*pi - alpha)*sin(alpha)^2/pi^3.
+
+    The squared normalized coefficients are A_n^2 = K1*f(n, alpha/pi) and
+    B_n^2 = K2*f(n, 2 - alpha/pi), f(n, b) = n^2/(n^2 - b^2)^2. Below about
+    alpha = 7e-103, K1 leaves the normal float64 range, and the chamber-1
+    coefficients and weights lose their digits: such an alpha is rejected.
+    """
+    sin_sq = math.sin(alpha) ** 2
+    k1 = 2.0 * alpha * sin_sq / math.pi**3
+    if k1 < sys.float_info.min:
+        raise ValueError(f"alpha={alpha!r} is too small for float64: the chamber-1 "
+                         f"weight underflowed to {k1!r}")
+    return k1, 2.0 * (TWO_PI - alpha) * sin_sq / math.pi**3
 
 
 def _levels(n) -> np.ndarray:
@@ -117,8 +142,6 @@ def _closed_form(chamber: int, n: np.ndarray, alpha: float) -> np.ndarray:
     else:
         num = -(TWO_PI - alpha)
         den = (alpha - (n + 2.0) * math.pi) * (alpha + (n - 2.0) * math.pi)
-    if np.any(np.abs(den) < _DENOM_FLOOR):
-        raise ValueError(f"degenerate chamber-{chamber} denominator")
     return num * n / den * math.sin(alpha)
 
 
@@ -136,6 +159,7 @@ def coefficient(kind: str, n, alpha: float):
     """
     chamber, _, alternating, _ = _kind(kind)
     alpha = _check_alpha(alpha)
+    _weight_scales(alpha)  # rejects an alpha too small for float64
     n = _levels(n)
     out = _closed_form(chamber, n, alpha)
     if alternating:
@@ -187,14 +211,132 @@ class ChamberExpansion:
     @property
     def completeness(self) -> float:
         """Sum of squared normalized coefficients; tends to 1 as n_trunc grows."""
-        a = self.norm_coeffs_1
-        b = self.norm_coeffs_2
-        return float(a @ a + b @ b)
+        return truncation_sums(self.geometry.alpha, self.n_trunc).completeness
 
     @property
     def deficit(self) -> float:
-        """Parseval deficit 1 - completeness (nonnegative, ~1/n_trunc)."""
-        return 1.0 - self.completeness
+        """Parseval deficit: the squared normalized coefficients beyond n_trunc
+        (positive, ~1/n_trunc)."""
+        return truncation_sums(self.geometry.alpha, self.n_trunc).deficit
+
+
+#: Modes summed term by term; the series below covers the rest.
+_DIRECT = 20
+#: Terms of f(n, b) = sum_k (k+1) b^(2k) n^(-2k-2). Beyond _DIRECT, b^2/n^2 <
+#: 1/110 (b < 2), so the first omitted term is below 1e-23 of the first.
+_SERIES_TERMS = 12
+#: Bernoulli numbers B_2, B_4, ..., B_14 of the Euler-Maclaurin formula.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+#: _EULER_MACLAURIN[k][j] = B_(2j+2)/(2j+2)! * s(s+1)...(s+2j) with s = 2k+2.
+_EULER_MACLAURIN = tuple(
+    tuple(bern * math.prod(range(2 * k + 2, 2 * k + 2 * j + 3)) / math.factorial(2 * j + 2)
+          for j, bern in enumerate(_BERNOULLI))
+    for k in range(_SERIES_TERMS))
+
+
+@lru_cache(maxsize=64)
+def _scaled_zetas(x: int) -> tuple[float, ...]:
+    """x^(2k+1) * zeta(2k+2, x) for k < _SERIES_TERMS and an integer x > _DIRECT.
+
+    Euler-Maclaurin with 7 Bernoulli terms; at x = 21 the first omitted one
+    is below 1e-20 of the k = 0 value. Integer divisions keep any x from
+    overflowing a float.
+    """
+    inv_sq = 1 / (x * x)
+    half_inv = 1 / (2 * x)
+    out = []
+    for k, row in enumerate(_EULER_MACLAURIN):
+        acc = 0.0
+        for coeff in reversed(row):
+            acc = (acc + coeff) * inv_sq
+        out.append(1.0 / (2 * k + 1) + half_inv + acc)
+    return tuple(out)
+
+
+def _series_tail(x: int, b_sq: float) -> float:
+    """Sum over n >= x of f(n, b), for an integer x > _DIRECT: all terms positive."""
+    ratio = b_sq * (1 / (x * x))
+    zetas = _scaled_zetas(x)
+    acc = 0.0
+    for k in reversed(range(_SERIES_TERMS)):
+        acc = acc * ratio + (k + 1) * zetas[k]
+    return acc * (1 / x)
+
+
+def _chamber_sums(n_trunc: int, c: int, delta: float) -> tuple[float, float]:
+    """(sum over 1 <= n <= n_trunc, sum over n > n_trunc) of f(n, b), b = c - delta.
+
+    f has double poles at n = +-b. Each pole distance is formed as
+    (n - c) + delta and (n + c) - delta with an integer c, so a distance near 0
+    keeps its digits; rounding b itself first would lose them.
+    """
+    head = [n * n / (((n - c) + delta) * ((n + c) - delta)) ** 2
+            for n in range(1, _DIRECT + 1)]
+    b_sq = (c - delta) ** 2
+    beyond = _series_tail(_DIRECT + 1, b_sq)
+    if n_trunc <= _DIRECT:
+        return math.fsum(head[:n_trunc]), math.fsum(head[n_trunc:]) + beyond
+    tail = _series_tail(n_trunc + 1, b_sq)
+    return math.fsum(head) + (beyond - tail), tail
+
+
+@dataclass(frozen=True)
+class TruncationSums:
+    """Sums of the two candidates' normalized coefficients at one truncation N.
+
+    A/B are the reference candidate's coefficients in chambers 1/2 and C/D the
+    shifted candidate's. |C_n| = |A_n| and |D_n| = |B_n|, so one weight and
+    one tail per chamber serve both candidates, and A_n*C_n = (-1)^n*A_n^2,
+    B_n*D_n = (-1)^n*B_n^2.
+    """
+
+    weight_1: float  # sum over n <= N of A_n^2
+    weight_2: float  # sum over n <= N of B_n^2
+    cross_1: float  # sum over n <= N of A_n*C_n
+    cross_2: float  # sum over n <= N of B_n*D_n
+    tail_1: float  # sum over n > N of A_n^2
+    tail_2: float  # sum over n > N of B_n^2
+
+    @property
+    def completeness(self) -> float:
+        """Squared norm kept by the truncation; tends to 1."""
+        return self.weight_1 + self.weight_2
+
+    @property
+    def deficit(self) -> float:
+        """Squared norm beyond the truncation, summed as tails (no 1 - x cancellation)."""
+        return self.tail_1 + self.tail_2
+
+    @property
+    def sum_rule(self) -> float:
+        """Direct-sum overlap sum(A*C) + sum(B*D); tends to cos(alpha)."""
+        return self.cross_1 + self.cross_2
+
+    @property
+    def tensor_overlap(self) -> float:
+        """Product of the per-chamber overlaps of the renormalized candidates."""
+        return (self.cross_1 / self.weight_1) * (self.cross_2 / self.weight_2)
+
+
+def truncation_sums(alpha: float, n_trunc: int) -> TruncationSums:
+    """The sums of ``TruncationSums`` for modes 1..n_trunc, in O(1) time and memory."""
+    alpha = _check_alpha(alpha)
+    n_trunc = operator.index(n_trunc)
+    if n_trunc < 1:
+        raise ValueError(f"truncation must be >= 1, got {n_trunc}")
+    k1, k2 = _weight_scales(alpha)
+    d = alpha / math.pi
+    # chamber 1: b = alpha/pi = 0 - (-d); chamber 2: b = 2 - alpha/pi = 2 - d
+    s1, t1 = _chamber_sums(n_trunc, 0, -d)
+    s2, t2 = _chamber_sums(n_trunc, 2, d)
+    # sum (-1)^n f(n, b) = 2*(even modes) - all, and f(2m, b) = f(m, b/2)/4
+    even1, _ = _chamber_sums(n_trunc // 2, 0, -0.5 * d)
+    even2, _ = _chamber_sums(n_trunc // 2, 1, 0.5 * d)
+    return TruncationSums(
+        weight_1=k1 * s1, weight_2=k2 * s2,
+        cross_1=k1 * (0.5 * even1 - s1), cross_2=k2 * (0.5 * even2 - s2),
+        tail_1=k1 * t1, tail_2=k2 * t2,
+    )
 
 
 def node_barrier(offset: float, alpha: float) -> int:
@@ -264,15 +406,6 @@ def single_well_projection(state, n: int, *, tol: float = 1e-12) -> float:
     """
     f = _waveform(state.offset) if isinstance(state, RingState) else state
     return project_mode(f, 0.0, TWO_PI, n, tol=tol)
-
-
-def well_energy(n: int, width: float) -> float:
-    """Dirichlet-well level n^2 pi^2 hbar^2 / (2 M width^2)."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width!r}")
-    return (n * math.pi * HBAR / width) ** 2 / (2.0 * MASS)
 
 
 DELTA_E_VARIANTS = ("nominal", "conserving")

@@ -213,7 +213,8 @@ def test_evolve_rejects_time_beyond_phase_resolution(capsys):
 
 
 @pytest.mark.parametrize("argv,cause", [
-    (["evolve", "--n-trunc", "10", "--grid-points", "3"], "revival period"),
+    # the alpha check in the coefficients comes before the revival period
+    (["evolve", "--n-trunc", "10", "--grid-points", "3"], "too small for float64"),
     (["energy", "--nm-max", "2"], "energy transfer overflows"),
     (["cost"], "weight underflowed"),
 ], ids=["evolve", "energy", "cost"])
@@ -223,6 +224,21 @@ def test_tiny_alpha_exits_2_with_the_cause(argv, cause, capsys):
     assert code == 2
     assert out == ""
     assert cause in err
+
+
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-310", "1e-300"])
+@pytest.mark.parametrize("argv", [
+    ["cost", "--n-trunc", "10"],
+    ["parseval", "--n-trunc", "10"],
+    ["coeffs", "--n-trunc", "3"],
+    ["evolve", "--n-trunc", "10", "--grid-points", "3"],
+], ids=["cost", "parseval", "coeffs", "evolve"])
+def test_alpha_below_float64_range_exits_2(argv, alpha, capsys):
+    # subnormal alphas once hit a "degenerate chamber-2 denominator" first
+    code, out, err = run_cli([*argv, "--alpha", alpha], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"alpha={float(alpha)!r} is too small for float64" in err
 
 
 def test_tiny_alpha_candidates_stay_distinct(capsys):

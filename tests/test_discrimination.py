@@ -213,6 +213,16 @@ def test_post_insertion_report_ideal_barriers():
     assert abs(report.sum_rule_overlap - math.cos(PI4)) < 10 * report.deficit_reference
 
 
+@pytest.mark.parametrize("alpha", [1e-10, 1e-8, 1e-6, 1e-3, PI4, 1.4])
+def test_cost_before_matches_mpmath(alpha):
+    # 1/2 - 1/2*sqrt(1 - cos^2) lost all digits of 1/2 - cost_before at small alpha
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(1) / 2 - mpmath.sin(mpmath.mpf(alpha)) / 2
+        error = abs(post_insertion_cost(alpha, 10).cost_before - exact)
+    assert error <= 1.2e-16
+
+
 def test_post_insertion_cost_orthogonal_candidates():
     report = post_insertion_cost(math.pi / 2.0, 50, BarrierModel(0.9))
     assert abs(report.cost_before) < 1e-12

@@ -7,7 +7,7 @@ from ringsplit import (ChamberGeometry, coefficient, delta_energy,
                        expand, oracle_coefficient, reference_state, ring_state,
                        shifted_state, sign_discrepancies,
                        single_barrier_coefficients, single_well_projection,
-                       uncorrected_coefficient, well_energy)
+                       uncorrected_coefficient)
 from ringsplit.expansion import node_barrier
 
 PI4 = math.pi / 4
@@ -207,11 +207,6 @@ def test_single_barrier_non_nodal_populates_odd_modes():
 
 
 # ---------------------------------------------------------------- energy transfer
-
-def test_well_energy_formula():
-    assert math.isclose(well_energy(1, math.pi), 0.5, rel_tol=1e-15)
-    assert math.isclose(well_energy(3, 2.0 * math.pi), 9.0 / 8.0, rel_tol=1e-15)
-
 
 def test_delta_energy_frozen_values():
     assert abs(delta_energy(1, 1, PI4, variant="nominal") - 8.03826530612245) < 1e-12

@@ -41,6 +41,9 @@ RUNS = {
     "evolve-times": ["evolve", "--alpha", "0.7", "--times", "0.1,2.5", "--chamber", "2"],
     "parseval": ["parseval", "--alpha", "1.1", "--n-trunc", "100,1000,10000"],
     "parseval-sweep": ["parseval", "--alpha-sweep", "0.3:1.5:4", "--n-trunc", "10,100"],
+    # O(1) in the truncation; a build that allocates O(N) arrays cannot run these
+    "cost-huge": ["cost", "--alpha", PI4, "--n-trunc", "1000000000000", "--epsilon", "0.5"],
+    "parseval-huge": ["parseval", "--alpha", "1.1", "--n-trunc", "1000000000,1000000000000"],
 }
 
 
