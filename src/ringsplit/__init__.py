@@ -11,16 +11,15 @@ drives sweeps and emits deterministic CSV/JSON tables.
 from .discrimination import (BarrierModel, DiscriminationReport, ExtendedState,
                              build_extended, extended_overlap, helstrom_cost,
                              helstrom_oracle, post_insertion_cost)
-from .evolution import (EvolvedChamberState, autocorrelation, evolve,
-                        revival_period, sample_amplitude, sample_density)
+from .evolution import (EvolvedChamberState, evolve, revival_period,
+                        sample_amplitude, sample_density)
 from .expansion import (ChamberExpansion, ChamberGeometry, CoeffDiscrepancy,
                         TruncationSums, coefficient, delta_energy, expand,
                         oracle_coefficient, sign_discrepancies,
                         single_barrier_coefficients, single_well_projection,
-                        truncation_sums, uncorrected_coefficient)
+                        truncation_sums)
 from .quadrature import ConvergenceError, integrate, project_mode
-from .ring import (RingState, reference_state, ring_energy, ring_overlap, ring_state,
-                   shifted_state)
+from .ring import RingState, reference_state, ring_overlap, ring_state, shifted_state
 
 __version__ = "0.1.0"
 
@@ -28,11 +27,10 @@ __all__ = [
     "BarrierModel", "ChamberExpansion", "ChamberGeometry", "CoeffDiscrepancy",
     "ConvergenceError", "DiscriminationReport", "EvolvedChamberState",
     "ExtendedState", "RingState", "TruncationSums",
-    "autocorrelation", "build_extended", "coefficient", "delta_energy", "evolve",
+    "build_extended", "coefficient", "delta_energy", "evolve",
     "expand", "extended_overlap", "helstrom_cost", "helstrom_oracle", "integrate",
     "oracle_coefficient", "post_insertion_cost", "project_mode", "reference_state",
-    "revival_period", "ring_energy", "ring_overlap", "ring_state",
+    "revival_period", "ring_overlap", "ring_state",
     "sample_amplitude", "sample_density", "shifted_state", "sign_discrepancies",
     "single_barrier_coefficients", "single_well_projection", "truncation_sums",
-    "uncorrected_coefficient",
 ]

@@ -189,23 +189,23 @@ def run_coeffs(args: argparse.Namespace):
     rows = []
     discrepancy_rows = []
     n_trunc = args.n_trunc
+    modes = range(1, n_trunc + 1)
     for alpha in _alphas(args):
         exp_ref = expand(reference_state(), alpha, n_trunc)
         exp_sh = expand(shifted_state(alpha), alpha, n_trunc)
-        deficit_ref = exp_ref.deficit
-        deficit_sh = exp_sh.deficit
+        # both candidates have the same coefficient magnitudes, so the same deficit
+        deficit = truncation_sums(alpha, n_trunc).deficit
         # one quadrature per (kind, n), shared by the table and the sign check
-        oracle = {kind: [oracle_coefficient(kind, n, alpha) for n in range(1, n_trunc + 1)]
+        oracle = {kind: np.array([oracle_coefficient(kind, n, alpha) for n in modes])
                   for kind in COEFF_KINDS}
-        for i in range(n_trunc):
-            closed = [exp_ref.coeffs_1[i], exp_ref.coeffs_2[i],
-                      exp_sh.coeffs_1[i], exp_sh.coeffs_2[i]]
-            normalized = [exp_ref.norm_coeffs_1[i], exp_ref.norm_coeffs_2[i],
-                          exp_sh.norm_coeffs_1[i], exp_sh.norm_coeffs_2[i]]
-            exact = [oracle[kind][i] for kind in COEFF_KINDS]
-            diffs = [abs(cv - ov) for cv, ov in zip(closed, exact)]
-            rows.append([alpha, i + 1, *closed, *normalized, *exact, *diffs,
-                         deficit_ref, deficit_sh])
+        closed = [exp_ref.coeffs_1, exp_ref.coeffs_2, exp_sh.coeffs_1, exp_sh.coeffs_2]
+        normalized = [exp_ref.norm_coeffs_1, exp_ref.norm_coeffs_2,
+                      exp_sh.norm_coeffs_1, exp_sh.norm_coeffs_2]
+        exact = [oracle[kind] for kind in COEFF_KINDS]
+        diffs = [np.abs(cv - ov) for cv, ov in zip(closed, exact)]
+        columns = [col.tolist() for col in closed + normalized + exact + diffs]
+        rows.extend([alpha, n, *values, deficit, deficit]
+                    for n, *values in zip(modes, *columns))
         discrepancy_rows.extend([getattr(rec, key) for key in DISCREPANCY_HEADER]
                                 for rec in sign_discrepancies(alpha, n_trunc, oracle=oracle))
     if args.discrepancies is not None:

@@ -154,17 +154,3 @@ def sample_density(state: EvolvedChamberState, grid) -> np.ndarray:
         return _uniform_density(state, grid.size - 1)
     return np.abs(sample_amplitude(state, grid)) ** 2
 
-
-def autocorrelation(expansion: ChamberExpansion, chamber: int, t: float) -> complex:
-    """Normalized overlap of the chamber state at time t with its t=0 self.
-
-    sum(|A_n|^2 exp(-i*E_n*t/hbar)) / sum(|A_n|^2); magnitude <= 1, equal to 1
-    at t=0 and at every multiple of the revival period.
-    """
-    state = evolve(expansion, chamber, t)
-    weights = (state.base_coefficients ** 2).astype(complex)
-    total = complex(weights.sum())
-    if total.real <= 0.0:
-        raise ValueError("chamber carries no weight")
-    # same summation path for numerator and denominator: exactly 1 at t=0
-    return complex((weights * state.phases()).sum()) / total

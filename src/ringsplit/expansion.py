@@ -104,6 +104,14 @@ def _weight_scales(alpha: float) -> tuple[float, float]:
     return k1, 2.0 * (TWO_PI - alpha) * sin_sq / math.pi**3
 
 
+def _check_truncation(n_trunc) -> int:
+    """A truncation is an integer N >= 1: the modes 1..N are kept."""
+    n_trunc = operator.index(n_trunc)
+    if n_trunc < 1:
+        raise ValueError(f"truncation must be >= 1, got {n_trunc}")
+    return n_trunc
+
+
 def _levels(n) -> np.ndarray:
     n = np.asarray(n)
     if not np.issubdtype(n.dtype, np.integer) and not np.all(n == np.floor(n)):
@@ -167,24 +175,12 @@ def coefficient(kind: str, n, alpha: float):
     return out if out.ndim else float(out)
 
 
-def uncorrected_coefficient(kind: str, n, alpha: float):
-    """Closed forms before oracle sign resolution.
-
-    Kinds a, b, c coincide with the adopted forms; kind d carries the opposite
-    sign for every n. Retained so the discrepancy report can document each
-    correction instead of silently absorbing it.
-    """
-    _, _, _, sign = _kind(kind)
-    return sign * coefficient(kind, n, alpha)
-
-
-def oracle_coefficient(kind: str, n: int, alpha: float, *, tol: float = 1e-12) -> float:
+def oracle_coefficient(kind: str, n: int, alpha: float) -> float:
     """Coefficient of the given kind by quadrature (the defining integral / pi)."""
     chamber, shifted, _, _ = _kind(kind)
     lo, hi = ChamberGeometry(alpha).bounds(chamber)
     shape = _waveform(alpha if shifted else 0.0)
-    return project_mode(shape, lo, hi, n, tol=tol) / math.pi
-
+    return project_mode(shape, lo, hi, n) / math.pi
 
 
 @dataclass(frozen=True)
@@ -321,9 +317,7 @@ class TruncationSums:
 def truncation_sums(alpha: float, n_trunc: int) -> TruncationSums:
     """The sums of ``TruncationSums`` for modes 1..n_trunc, in O(1) time and memory."""
     alpha = _check_alpha(alpha)
-    n_trunc = operator.index(n_trunc)
-    if n_trunc < 1:
-        raise ValueError(f"truncation must be >= 1, got {n_trunc}")
+    n_trunc = _check_truncation(n_trunc)
     k1, k2 = _weight_scales(alpha)
     d = alpha / math.pi
     # chamber 1: b = alpha/pi = 0 - (-d); chamber 2: b = 2 - alpha/pi = 2 - d
@@ -363,14 +357,13 @@ def expand(state: RingState, alpha: float, n_trunc: int) -> ChamberExpansion:
     must coincide with one of the barrier angles (its node), mod 2*pi.
     """
     geometry = ChamberGeometry(alpha)
-    if n_trunc < 1:
-        raise ValueError(f"truncation must be >= 1, got {n_trunc}")
+    n_trunc = _check_truncation(n_trunc)
     n = np.arange(1, n_trunc + 1)
     kinds = ("a", "b") if node_barrier(state.offset, alpha) == 0 else ("c", "d")
     c1, c2 = (coefficient(kind, n, alpha) for kind in kinds)
     return ChamberExpansion(
         geometry=geometry,
-        n_trunc=int(n_trunc),
+        n_trunc=n_trunc,
         state_offset=float(state.offset),
         coeffs_1=c1,
         coeffs_2=c2,
@@ -387,8 +380,7 @@ def single_barrier_coefficients(state: RingState, n_max: int) -> np.ndarray:
     nonzero coefficient and leaves wave function and energy unchanged. A
     non-nodal offset populates the odd modes as well.
     """
-    if n_max < 1:
-        raise ValueError(f"truncation must be >= 1, got {n_max}")
+    n_max = _check_truncation(n_max)
     delta = state.offset
     n = np.arange(1, n_max + 1)
     out = np.zeros(n_max)
@@ -399,13 +391,12 @@ def single_barrier_coefficients(state: RingState, n_max: int) -> np.ndarray:
     return out
 
 
-def single_well_projection(state, n: int, *, tol: float = 1e-12) -> float:
+def single_well_projection(state: RingState, n: int) -> float:
     """Oracle route for the single-barrier case: bare integral over (0, 2*pi).
 
     Divide by pi to compare against ``single_barrier_coefficients``.
     """
-    f = _waveform(state.offset) if isinstance(state, RingState) else state
-    return project_mode(f, 0.0, TWO_PI, n, tol=tol)
+    return project_mode(_waveform(state.offset), 0.0, TWO_PI, n)
 
 
 DELTA_E_VARIANTS = ("nominal", "conserving")
@@ -451,26 +442,31 @@ class CoeffDiscrepancy:
     adopted: float
 
 
-def sign_discrepancies(alpha: float, n_max: int, *, kinds=COEFF_KINDS,
-                       tol: float = 1e-10, oracle=None) -> list[CoeffDiscrepancy]:
-    """Compare uncorrected closed forms against the oracle for every kind and n.
+def sign_discrepancies(alpha: float, n_max: int, *, oracle=None) -> list[CoeffDiscrepancy]:
+    """Compare the uncorrected closed forms against the oracle for every kind and n.
 
-    Returns one record per (kind, n) where the uncorrected form disagrees with
-    the oracle beyond tol; with the adopted forms the only offender is kind d,
-    whose sign flips for every n. ``oracle`` maps each kind to its oracle
-    values for n = 1..n_max when the caller has already computed them;
-    without it they are integrated here.
+    The uncorrected form of a kind is its adopted form times the kind's sign
+    (-1 for kind d, +1 otherwise). One record is returned per (kind, n) where
+    the oracle refutes the uncorrected form and confirms the adopted one:
+    |uncorrected - oracle| > |adopted| >= |adopted - oracle|. The rule is
+    relative to the coefficient. Kinds a, b and c, whose two forms are equal,
+    can never match it; kind d matches for every n wherever the oracle
+    resolves the coefficient (down to about alpha = 1e-13). ``oracle`` maps
+    each kind to its oracle values for n = 1..n_max when the caller has
+    already computed them; without it they are integrated here.
     """
+    n_max = _check_truncation(n_max)
     records = []
-    for kind in kinds:
-        exact = oracle[kind] if oracle is not None else \
-            [oracle_coefficient(kind, n, alpha) for n in range(1, n_max + 1)]
-        for n in range(1, n_max + 1):
-            raw = uncorrected_coefficient(kind, n, alpha)
-            if abs(raw - exact[n - 1]) > tol:
-                records.append(CoeffDiscrepancy(
-                    kind=kind, n=n, alpha=float(alpha),
-                    uncorrected=raw, oracle=exact[n - 1],
-                    adopted=coefficient(kind, n, alpha),
-                ))
+    for kind in COEFF_KINDS:
+        adopted = coefficient(kind, np.arange(1, n_max + 1), alpha)
+        uncorrected = _KINDS[kind][3] * adopted
+        exact = np.asarray(oracle[kind] if oracle is not None else
+                           [oracle_coefficient(kind, n, alpha) for n in range(1, n_max + 1)])
+        flipped = ((np.abs(uncorrected - exact) > np.abs(adopted))
+                   & (np.abs(adopted) >= np.abs(adopted - exact)))
+        records.extend(
+            CoeffDiscrepancy(kind=kind, n=i + 1, alpha=float(alpha),
+                             uncorrected=float(uncorrected[i]), oracle=float(exact[i]),
+                             adopted=float(adopted[i]))
+            for i in np.flatnonzero(flipped).tolist())
     return records

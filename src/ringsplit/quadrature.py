@@ -26,37 +26,43 @@ class ConvergenceError(RuntimeError):
         self.achieved = achieved
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(order: int):
-    nodes, weights = leggauss(order)
-    return nodes, weights
+#: Gauss-Legendre points per panel.
+ORDER = 64
+#: Panel doublings tried before integrate gives up.
+MAX_DOUBLINGS = 5
 
 
-def _panel_sum(f, lo: float, hi: float, panels: int, order: int) -> float:
-    x, w = _gauss_rule(order)
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    # built on first use, not at import: leggauss(64) takes over a millisecond
+    return leggauss(ORDER)
+
+
+def _panel_sum(f, lo: float, hi: float, panels: int) -> float:
+    x, w = _gauss_rule()
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (mid + half * x[None, :]).ravel()
-    weights = (half * np.broadcast_to(w, (panels, order))).ravel()
+    weights = (half * np.broadcast_to(w, (panels, ORDER))).ravel()
     return float(np.dot(weights, f(nodes)))
 
 
-def integrate(f, lo: float, hi: float, *, tol: float = 1e-12,
-              panels: int = 1, order: int = 64, max_doublings: int = 5) -> float:
+def integrate(f, lo: float, hi: float, *, tol: float = 1e-12, panels: int = 1) -> float:
     """Integrate a vectorized callable over [lo, hi] to absolute tolerance tol.
 
     Panels are doubled until two successive levels agree within tol; raises
-    ConvergenceError (carrying the achieved estimate) if they never do.
+    ConvergenceError (carrying the achieved estimate) if they never do within
+    MAX_DOUBLINGS doublings.
     """
     if hi <= lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
     panels = max(1, int(panels))
-    value = _panel_sum(f, lo, hi, panels, order)
+    value = _panel_sum(f, lo, hi, panels)
     err = math.inf
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         panels *= 2
-        refined = _panel_sum(f, lo, hi, panels, order)
+        refined = _panel_sum(f, lo, hi, panels)
         err = abs(refined - value)
         value = refined
         if err <= tol:
@@ -66,7 +72,7 @@ def integrate(f, lo: float, hi: float, *, tol: float = 1e-12,
     )
 
 
-def project_mode(f, lo: float, hi: float, n: int, *, tol: float = 1e-12) -> float:
+def project_mode(f, lo: float, hi: float, n: int) -> float:
     """Integral of f(theta) * sin(n*pi*(theta - lo)/(hi - lo)) over the interval.
 
     The Dirichlet mode vanishes at both interval ends. One panel per half
@@ -80,4 +86,4 @@ def project_mode(f, lo: float, hi: float, n: int, *, tol: float = 1e-12) -> floa
     def integrand(theta):
         return f(theta) * np.sin(scale * (theta - lo))
 
-    return integrate(integrand, lo, hi, tol=tol, panels=max(4, int(n)))
+    return integrate(integrand, lo, hi, panels=max(4, int(n)))

@@ -25,13 +25,6 @@ HBAR = 1.0
 MASS = 1.0
 
 
-def ring_energy(n: int) -> float:
-    """Ring eigenvalue hbar^2 n^2 / (2 M) for level n >= 1."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    return HBAR * HBAR * n * n / (2.0 * MASS)
-
-
 @dataclass(frozen=True)
 class RingState:
     """A rotated unit-frequency sine on the ring: sin(theta - offset)/sqrt(pi).

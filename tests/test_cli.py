@@ -152,6 +152,12 @@ def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypa
     assert len(set(calls)) == 4 * 7
 
 
+def test_coeffs_reports_every_sign_correction_at_tiny_alpha(capsys):
+    code, _, err = run_cli(["coeffs", "--alpha", "1e-12", "--n-trunc", "20"], capsys)
+    assert code == 0
+    assert "20 oracle sign corrections" in err
+
+
 def test_coeffs_single_row(capsys):
     code, out, _ = run_cli(["coeffs", "--alpha", PI4, "--n-trunc", "1"], capsys)
     assert code == 0

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ringsplit import (autocorrelation, evolve, expand, reference_state,
+from ringsplit import (evolve, expand, reference_state,
                        revival_period, sample_amplitude, sample_density,
                        shifted_state)
 
@@ -122,21 +122,6 @@ def test_grid_outside_chamber_rejected():
         sample_density(state, [PI4 + 0.1])
     with pytest.raises(ValueError):
         sample_density(state, [-0.2])
-
-
-def test_autocorrelation_properties():
-    e = _expansion(500)
-    assert autocorrelation(e, 1, 0.0) == 1.0 + 0.0j
-    period = revival_period(e.geometry.width(1))
-    assert abs(autocorrelation(e, 1, period) - 1.0) < 1e-12
-    for t in np.linspace(0.0, 3.0, 40):
-        assert abs(autocorrelation(e, 1, float(t))) <= 1.0 + 1e-14
-
-
-def test_autocorrelation_dips_between_revivals():
-    e = _expansion(500)
-    period = revival_period(e.geometry.width(1))
-    assert abs(autocorrelation(e, 1, 0.31 * period)) < 0.999
 
 
 # ---------------------------------------------------------------- FFT (DST-I) path

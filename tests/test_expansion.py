@@ -7,7 +7,7 @@ from ringsplit import (ChamberGeometry, coefficient, delta_energy,
                        expand, oracle_coefficient, reference_state, ring_state,
                        shifted_state, sign_discrepancies,
                        single_barrier_coefficients, single_well_projection,
-                       uncorrected_coefficient)
+                       truncation_sums)
 from ringsplit.expansion import node_barrier
 
 PI4 = math.pi / 4
@@ -103,11 +103,19 @@ def test_sign_discrepancies_enumerate_kind_d_only():
     for r in records:
         assert abs(r.adopted - r.oracle) < 1e-10
         assert r.uncorrected == -r.adopted
-        assert abs(uncorrected_coefficient("d", r.n, PI4) - r.uncorrected) < 1e-15
+        assert r.adopted == coefficient("d", r.n, PI4)
     # oracle values computed elsewhere give the same records
     oracle = {kind: [oracle_coefficient(kind, n, PI4) for n in range(1, 9)]
               for kind in "abcd"}
     assert sign_discrepancies(PI4, 8, oracle=oracle) == records
+
+
+@pytest.mark.parametrize("alpha", [1e-13, 1e-12, 1e-9, 1e-6, 0.3, PI4, 1.5, math.pi / 2])
+def test_sign_log_records_every_kind_d_flip(alpha):
+    # relative to the coefficient: an absolute tolerance misses the tiny d_n
+    # of a small alpha
+    records = sign_discrepancies(alpha, 20)
+    assert [(r.kind, r.n) for r in records] == [("d", n) for n in range(1, 21)]
 
 
 # ---------------------------------------------------------------- expand
@@ -145,6 +153,19 @@ def test_node_barrier_tolerance_scales_with_alpha():
 def test_expand_rejects_bad_truncation():
     with pytest.raises(ValueError):
         expand(reference_state(), PI4, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: expand(reference_state(), PI4, n),
+    lambda n: truncation_sums(PI4, n),
+    lambda n: single_barrier_coefficients(shifted_state(PI4), n),
+], ids=["expand", "truncation_sums", "single_barrier_coefficients"])
+def test_truncation_must_be_an_integer(build):
+    with pytest.raises(TypeError):
+        build(2.5)
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        build(0)
+    build(np.int64(3))
 
 
 def test_deficit_monotone_decreasing():

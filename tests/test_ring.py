@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from ringsplit import (integrate, reference_state, ring_energy, ring_overlap, ring_state,
-                       shifted_state)
+from ringsplit import integrate, reference_state, ring_overlap, ring_state, shifted_state
 
 ALPHAS = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
 
@@ -65,18 +64,3 @@ def test_overlap_extremes():
         rel_tol=1e-14)
 
 
-def test_ring_energy_values():
-    assert ring_energy(1) == 0.5
-    assert ring_energy(2) == 2.0
-
-
-def test_ring_energy_rejects_bad_level():
-    with pytest.raises(ValueError):
-        ring_energy(0)
-    with pytest.raises(ValueError):
-        ring_energy(-3)
-
-
-def test_spectrum_strictly_increasing():
-    energies = [ring_energy(n) for n in range(1, 21)]
-    assert all(e1 < e2 for e1, e2 in zip(energies, energies[1:]))

@@ -29,6 +29,7 @@ RUNS = {
                    "--epsilon", "0.25"],
     "cost-single": ["cost", "--alpha", PI4, "--n-trunc", "1000"],
     "coeffs": ["coeffs", "--alpha", PI4, "--n-trunc", "50"],
+    "coeffs-sweep": ["coeffs", "--alpha-sweep", "0.3:1.5:3", "--n-trunc", "12"],
     "energy-nominal": ["energy", "--alpha", "0.5", "--nm-max", "30", "--variant", "nominal"],
     "energy-conserving": ["energy", "--alpha", "0.5", "--nm-max", "30",
                           "--variant", "conserving"],
