@@ -12,12 +12,10 @@ same argparse types and choices as the flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from itertools import product
 
 import numpy as np
 
@@ -29,45 +27,120 @@ from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
 
 ENV_CONFIG = "RINGSPLIT_CONFIG"
+#: exit code when stdout's reader closes early: 128 + SIGPIPE, as a shell
+#: reports a process that signal ended
+EXIT_BROKEN_PIPE = 141
 
 VARIANT_CHOICES = DELTA_E_VARIANTS + ("both",)
 FORMAT_CHOICES = ("csv", "json")
 CANDIDATE_CHOICES = ("reference", "shifted")
 
-
-def _format_value(value) -> str:
-    # rows hold str, int, float and np.float64 only
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".17g")
-
-
-def _write_csv(header, rows, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_value(v) for v in row])
+#: rows converted from numpy to Python values at a time
+BLOCK_ROWS = 4096
+#: rows one table may hold; each subcommand checks its row count before it
+#: builds an array
+ROW_LIMIT = 10_000_000
+#: largest --n-trunc of coeffs, whose oracle costs O(N^2) quadrature nodes
+#: (3.7 s at N = 500), and of evolve; cost and parseval are O(1) in N
+COEFFS_N_LIMIT = 10_000
+EVOLVE_N_LIMIT = 1_000_000
 
 
-def _write_json(header, rows, stream) -> None:
-    # np.float64 is a float subclass, so json writes it as float.__repr__ does
-    records = [dict(zip(header, row)) for row in rows]
-    json.dump(records, stream, indent=2)
-    stream.write("\n")
+class Table:
+    """A table's columns in header order; ``len()`` is its number of rows.
+
+    A column is a 1-D numpy array of floats or of ints (an object array for
+    ints beyond int64), or a list of str.
+    """
+
+    def __init__(self, *columns) -> None:
+        assert len({len(col) for col in columns}) == 1, "columns differ in length"
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
 
-def _emit(header, rows, args: argparse.Namespace) -> None:
+def _column(values: list):
+    """One column from per-row values: str cells stay a list, which shares
+    each string, and numbers become an array of their common dtype."""
+    array = np.array(values)
+    return values if array.dtype.kind == "U" else array
+
+
+def _write_rows(stream, row_format: str, table: Table, sep: str) -> None:
+    """Write ``row_format % row`` for every row, with ``sep`` between rows.
+
+    Each block of BLOCK_ROWS rows is converted to Python values once per
+    column (``tolist``), and its rows go to the stream one by one, so no
+    text of more than one row is held at once.
+    """
+    later = sep + row_format
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = [col[start:start + BLOCK_ROWS] for col in table.columns]
+        rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col for col in block])
+        if not start:
+            stream.write(row_format % next(rows))
+        stream.writelines(later % row for row in rows)
+
+
+def _csv_format(col) -> str:
+    if isinstance(col, list):
+        # the writer does no quoting, so a cell must need none
+        assert not any(ch in cell for cell in col for ch in ',"\r\n'), \
+            "a CSV string cell holds a comma, a quote or a line break"
+        return "%s"
+    return "%.17g" if col.dtype.kind == "f" else "%d"
+
+
+def _write_csv(header, table: Table, stream) -> None:
+    """CSV as ``csv.writer`` writes it, floats as ``format(x, ".17g")``."""
+    row_format = ",".join(map(_csv_format, table.columns)) + "\n"
+    stream.write(",".join(header) + "\n")
+    _write_rows(stream, row_format, table, "")
+
+
+def _json_column(col):
+    """A column's JSON format, and the column in the form that format reads."""
+    if isinstance(col, list):
+        return "%s", [json.dumps(cell) for cell in col]
+    if col.dtype.kind != "f":
+        return "%d", col
+    if np.isfinite(col).all():
+        return "%r", col  # float.__repr__, as json writes a float
+    return "%s", [json.dumps(cell) for cell in col.tolist()]  # NaN, Infinity
+
+
+def _write_json(header, table: Table, stream) -> None:
+    """The text of ``json.dump(records, indent=2)`` plus a newline, one record
+    per row."""
+    if not len(table):
+        stream.write("[]\n")
+        return
+    formats, columns = zip(*map(_json_column, table.columns))
+    fields = ",\n".join(f"    {json.dumps(key)}: {fmt}" for key, fmt in zip(header, formats))
+    stream.write("[\n")
+    _write_rows(stream, "  {\n" + fields + "\n  }", Table(*columns), ",\n")
+    stream.write("\n]\n")
+
+
+def _emit(header, table: Table, args: argparse.Namespace) -> None:
     writer = _write_csv if args.format == "csv" else _write_json
     if args.out is None:
-        writer(header, rows, sys.stdout)
+        writer(header, table, sys.stdout)
+        # a closed pipe surfaces here, inside main, and not at interpreter exit
+        sys.stdout.flush()
     else:
         with open(args.out, "w", newline="") as fh:
-            writer(header, rows, fh)
+            writer(header, table, fh)
 
 
-def _parse_sweep(raw: str) -> tuple[float, ...]:
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} is {value}, above the limit of {limit}")
+
+
+def _parse_sweep(raw: str) -> tuple[float, float, int]:
     try:
         start, stop, count = raw.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -76,15 +149,26 @@ def _parse_sweep(raw: str) -> tuple[float, ...]:
             f"--alpha-sweep expects START:STOP:COUNT, got {raw!r}") from None
     if count < 1:
         raise ValueError("sweep count must be >= 1")
+    return start, stop, count
+
+
+def _alphas(args: argparse.Namespace, rows_per_alpha: int,
+            row_flags: str) -> tuple[float, ...]:
+    """The alphas of --alpha or --alpha-sweep.
+
+    Each alpha gives ``rows_per_alpha`` rows of the table; the row count, with
+    ``row_flags`` naming the flags that set it, is checked against ROW_LIMIT
+    before the sweep is built.
+    """
+    if args.alpha_sweep is None:
+        start, stop, count = math.pi / 4.0 if args.alpha is None else args.alpha, None, 1
+    else:
+        start, stop, count = _parse_sweep(args.alpha_sweep)
+    # an alpha that gives no rows fails later, but its sweep is still built
+    _check_limit(f"row count ({row_flags})", count * max(rows_per_alpha, 1), ROW_LIMIT)
     if count == 1:
         return (start,)
     return tuple(np.linspace(start, stop, count).tolist())
-
-
-def _alphas(args: argparse.Namespace) -> tuple[float, ...]:
-    if args.alpha_sweep is not None:
-        return _parse_sweep(args.alpha_sweep)
-    return (math.pi / 4.0 if args.alpha is None else args.alpha,)
 
 
 def _number_list(cast):
@@ -166,9 +250,11 @@ COST_HEADER = [
 
 def run_cost(args: argparse.Namespace):
     bm = BarrierModel(args.epsilon)
+    alphas = _alphas(args, 1, "--alpha-sweep count")
     # each header name is a DiscriminationReport field
-    reports = [post_insertion_cost(alpha, args.n_trunc, bm) for alpha in _alphas(args)]
-    return COST_HEADER, [[getattr(r, key) for key in COST_HEADER] for r in reports]
+    reports = [post_insertion_cost(alpha, args.n_trunc, bm) for alpha in alphas]
+    return COST_HEADER, Table(*(_column([getattr(r, key) for r in reports])
+                                for key in COST_HEADER))
 
 
 # ---------------------------------------------------------------- coeffs
@@ -185,36 +271,43 @@ COEFF_HEADER = [
 DISCREPANCY_HEADER = ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
 
 
+def _concatenate(parts: list) -> Table:
+    """One table from per-alpha lists of equally long columns."""
+    return Table(*(np.concatenate(cols) for cols in zip(*parts)))
+
+
 def run_coeffs(args: argparse.Namespace):
-    rows = []
-    discrepancy_rows = []
     n_trunc = args.n_trunc
-    modes = range(1, n_trunc + 1)
-    for alpha in _alphas(args):
+    _check_limit("--n-trunc", n_trunc, COEFFS_N_LIMIT)
+    alphas = _alphas(args, n_trunc, "--alpha-sweep count x --n-trunc")
+    parts = []
+    discrepancies = []
+    modes = np.arange(1, n_trunc + 1)
+    for alpha in alphas:
         exp_ref = expand(reference_state(), alpha, n_trunc)
         exp_sh = expand(shifted_state(alpha), alpha, n_trunc)
         # both candidates have the same coefficient magnitudes, so the same deficit
-        deficit = truncation_sums(alpha, n_trunc).deficit
+        deficit = np.full(n_trunc, truncation_sums(alpha, n_trunc).deficit)
         # one quadrature per (kind, n), shared by the table and the sign check
-        oracle = {kind: np.array([oracle_coefficient(kind, n, alpha) for n in modes])
+        oracle = {kind: np.array([oracle_coefficient(kind, n, alpha) for n in modes.tolist()])
                   for kind in COEFF_KINDS}
         closed = [exp_ref.coeffs_1, exp_ref.coeffs_2, exp_sh.coeffs_1, exp_sh.coeffs_2]
         normalized = [exp_ref.norm_coeffs_1, exp_ref.norm_coeffs_2,
                       exp_sh.norm_coeffs_1, exp_sh.norm_coeffs_2]
         exact = [oracle[kind] for kind in COEFF_KINDS]
         diffs = [np.abs(cv - ov) for cv, ov in zip(closed, exact)]
-        columns = [col.tolist() for col in closed + normalized + exact + diffs]
-        rows.extend([alpha, n, *values, deficit, deficit]
-                    for n, *values in zip(modes, *columns))
-        discrepancy_rows.extend([getattr(rec, key) for key in DISCREPANCY_HEADER]
-                                for rec in sign_discrepancies(alpha, n_trunc, oracle=oracle))
+        parts.append([np.full(n_trunc, alpha), modes, *closed, *normalized, *exact, *diffs,
+                      deficit, deficit])
+        discrepancies.extend(sign_discrepancies(alpha, n_trunc, oracle=oracle))
     if args.discrepancies is not None:
+        log = Table(*(_column([getattr(rec, key) for rec in discrepancies])
+                      for key in DISCREPANCY_HEADER))
         with open(args.discrepancies, "w", newline="") as fh:
-            _write_csv(DISCREPANCY_HEADER, discrepancy_rows, fh)
-    elif discrepancy_rows:
-        print(f"note: {len(discrepancy_rows)} oracle sign corrections recorded; "
+            _write_csv(DISCREPANCY_HEADER, log, fh)
+    elif discrepancies:
+        print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
-    return COEFF_HEADER, rows
+    return COEFF_HEADER, _concatenate(parts)
 
 
 # ---------------------------------------------------------------- energy
@@ -223,23 +316,23 @@ def run_energy(args: argparse.Namespace):
     nm_max = args.nm_max
     if nm_max < 1:
         raise ValueError("--nm-max must be >= 1")
+    alphas = _alphas(args, nm_max**2, "--alpha-sweep count x --nm-max squared")
     both = args.variant == "both"
     header = ["alpha", "n", "m"] + (["delta_e_nominal", "delta_e_conserving",
                                      "variant_difference"] if both else ["delta_e"])
     idx = np.arange(1, nm_max + 1)
-    rows = []
-    for alpha in _alphas(args):
-        # (n, m) grids flattened with n outer and m inner, the order of product()
-        grids = (delta_energy(idx[:, None], idx, alpha, variant=v) for v in DELTA_E_VARIANTS)
-        nominal, conserving = (grid.ravel().tolist() for grid in grids)
-        pairs = product(range(1, nm_max + 1), repeat=2)
+    # (n, m) flattened with n outer and m inner
+    n, m = np.repeat(idx, nm_max), np.tile(idx, nm_max)
+    parts = []
+    for alpha in alphas:
+        nominal, conserving = (delta_energy(idx[:, None], idx, alpha, variant=v).ravel()
+                               for v in DELTA_E_VARIANTS)
         if both:
-            rows.extend([alpha, n, m, nom, con, nom - con]
-                        for (n, m), nom, con in zip(pairs, nominal, conserving))
+            values = [nominal, conserving, nominal - conserving]
         else:
-            chosen = nominal if args.variant == "nominal" else conserving
-            rows.extend([alpha, n, m, value] for (n, m), value in zip(pairs, chosen))
-    return header, rows
+            values = [nominal if args.variant == "nominal" else conserving]
+        parts.append([np.full(nm_max**2, alpha), n, m, *values])
+    return header, _concatenate(parts)
 
 
 # ---------------------------------------------------------------- evolve
@@ -248,27 +341,28 @@ EVOLVE_HEADER = ["theta", "density", "t", "chamber"]
 
 
 def run_evolve(args: argparse.Namespace):
-    alphas = _alphas(args)
-    if len(alphas) != 1:
-        raise ValueError("evolve takes a single --alpha, not a sweep")
     if args.grid_points < 2:
         raise ValueError("--grid-points must be >= 2")
+    _check_limit("--n-trunc", args.n_trunc, EVOLVE_N_LIMIT)
+    chambers = (1, 2) if args.chamber == "both" else (int(args.chamber),)
+    times = args.time_fracs if args.times is None else args.times
+    alphas = _alphas(args, args.grid_points * len(times) * len(chambers),
+                     "--alpha-sweep count x --grid-points x times x chambers")
+    if len(alphas) != 1:
+        raise ValueError("evolve takes a single --alpha, not a sweep")
     alpha = alphas[0]
     state = reference_state() if args.candidate == "reference" else shifted_state(alpha)
     expansion = expand(state, alpha, args.n_trunc)
-    chambers = (1, 2) if args.chamber == "both" else (int(args.chamber),)
-    rows = []
+    parts = []
     for chamber in chambers:
         lo, hi = expansion.geometry.bounds(chamber)
         grid = np.linspace(lo, hi, args.grid_points)
         period = revival_period(expansion.geometry.width(chamber))
-        chamber_times = args.times if args.times is not None else \
-            [f * period for f in args.time_fracs]
-        for t in chamber_times:
+        for t in times if args.times is not None else [f * period for f in times]:
             density = sample_density(evolve(expansion, chamber, t), grid)
-            rows.extend([float(theta), float(rho), float(t), chamber]
-                        for theta, rho in zip(grid, density))
-    return EVOLVE_HEADER, rows
+            parts.append([grid, density, np.full(grid.size, t),
+                          np.full(grid.size, chamber)])
+    return EVOLVE_HEADER, _concatenate(parts)
 
 
 # ---------------------------------------------------------------- parseval
@@ -282,8 +376,9 @@ PARSEVAL_HEADER = [
 
 
 def run_parseval(args: argparse.Namespace):
+    alphas = _alphas(args, len(args.n_trunc), "--alpha-sweep count x --n-trunc count")
     rows = []
-    for alpha in _alphas(args):
+    for alpha in alphas:
         target = ring_overlap(reference_state(), shifted_state(alpha))
         for n_trunc in args.n_trunc:
             # both candidates have the same coefficient magnitudes, so the same sums
@@ -291,7 +386,7 @@ def run_parseval(args: argparse.Namespace):
             rows.append([alpha, n_trunc, sums.deficit, sums.deficit,
                          sums.completeness, sums.completeness,
                          sums.sum_rule, target, abs(sums.sum_rule - target)])
-    return PARSEVAL_HEADER, rows
+    return PARSEVAL_HEADER, Table(*(np.array(col) for col in zip(*rows)))
 
 
 # ---------------------------------------------------------------- parser
@@ -376,6 +471,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         header, rows = args.run(args)
         _emit(header, rows, args)
+    except BrokenPipeError:
+        # the reader of stdout went away: point stdout at devnull so that the
+        # flush at exit raises nothing, and exit as a SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConvergenceError as exc:
         print(f"ringsplit: quadrature failed to converge: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -6,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ringsplit
+from ringsplit import cli
 from ringsplit.cli import main
 
 PI4 = repr(math.pi / 4)
@@ -81,10 +84,17 @@ def test_cost_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_import_leaves_out_process_pool():
+def subprocess_env():
+    """The environment for a child that imports this checkout's ringsplit."""
     src = str(Path(ringsplit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("RINGSPLIT_CONFIG", None)
+    return env
+
+
+def test_cli_import_leaves_out_process_pool():
+    env = subprocess_env()
     probe = "import sys, ringsplit.cli; print('concurrent.futures' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
@@ -276,6 +286,152 @@ def test_parseval_slope_near_minus_one(capsys):
         / (math.log(ns[1]) - math.log(ns[0]))
     assert abs(slope + 1.0) < 0.15
     assert max(col(header, rows, "sum_rule_abs_error")) < 1e-4
+
+
+# ---------------------------------------------------------------- emission
+
+def reference_csv(header, rows):
+    """The rows as the csv module writes them, floats as format(x, ".17g")."""
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, (str, int)) else format(v, ".17g") for v in row])
+    return stream.getvalue()
+
+
+def reference_json(header, rows):
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+
+
+def synthetic_table(n_rows):
+    """Columns of every kind the writers take, with the float extremes."""
+    rng = np.random.default_rng(7)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    floats[:4] = [-0.0, 5e-324, 1e308, 1.0 / 3.0][:n_rows]
+    nonfinite = rng.random(n_rows)
+    nonfinite[1::5] = math.nan
+    nonfinite[2::7] = math.inf
+    nonfinite[3::11] = -math.inf
+    ints = np.linspace(0, 10**12, n_rows).astype(np.int64)
+    words = [("kind d", "tab\there", "\u00e9t\u00e9", "back\\slash")[i % 4]
+             for i in range(n_rows)]
+    header = ["float", "int", "empty", "word", "nonfinite"]
+    columns = [floats, ints, [""] * n_rows, words, nonfinite]
+    rows = list(zip(*[col.tolist() if isinstance(col, np.ndarray) else col
+                      for col in columns]))
+    return header, cli.Table(*columns), rows
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.BLOCK_ROWS, 2 * cli.BLOCK_ROWS + 5])
+def test_writers_match_csv_and_json_modules(n_rows):
+    header, table, rows = synthetic_table(n_rows)
+    for write, reference in ((cli._write_csv, reference_csv),
+                             (cli._write_json, reference_json)):
+        stream = io.StringIO()
+        write(header, table, stream)
+        assert stream.getvalue() == reference(header, rows)
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+def test_csv_string_cell_needing_quotes_is_refused(cell):
+    table = cli.Table(np.array([1.0, 2.0]), ["plain", cell])
+    with pytest.raises(AssertionError, match="CSV string cell"):
+        cli._write_csv(["x", "s"], table, io.StringIO())
+
+
+@pytest.mark.parametrize("argv", [
+    ["cost", "--alpha-sweep", "0.2:1.4:5", "--n-trunc", "50", "--epsilon", "0.5"],
+    ["coeffs", "--alpha-sweep", "0.3:1.5:2", "--n-trunc", "6"],
+    ["energy", "--alpha-sweep", "0.3:1.5:2", "--nm-max", "70"],
+    ["evolve", "--n-trunc", "50", "--grid-points", "1500", "--time-fracs", "0,0.5"],
+    ["parseval", "--alpha-sweep", "0.3:1.5:3", "--n-trunc", "10,100"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitted_row_count_is_len_of_table(argv, fmt, tmp_path, monkeypatch):
+    # a per-layer benchmark counts rows as len() of _emit's second argument
+    lengths = []
+    emit = cli._emit
+
+    def counted(header, table, args):
+        lengths.append(len(table))
+        emit(header, table, args)
+
+    monkeypatch.setattr(cli, "_emit", counted)
+    out = tmp_path / f"table.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    written = (len(read_csv_file(out)[1]) if fmt == "csv"
+               else len(json.loads(out.read_text())))
+    assert lengths == [written]
+    assert written > 1
+
+
+def test_integers_beyond_int64_print_exactly(capsys):
+    argv = ["cost", "--alpha", PI4, "--n-trunc", str(10**20)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    header, rows = read_csv_text(out)
+    assert col(header, rows, "n_trunc", str) == [str(10**20)]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert f'"n_trunc": {10**20},' in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["energy", "--nm-max", "100000"],
+     "row count (--alpha-sweep count x --nm-max squared) is 10000000000"),
+    (["energy", "--alpha-sweep", "0.1:1.5:1001", "--nm-max", "100"],
+     "row count (--alpha-sweep count x --nm-max squared) is 10010000"),
+    (["cost", "--alpha-sweep", "0.1:1.5:100000000000"],
+     "row count (--alpha-sweep count) is 100000000000"),
+    (["evolve", "--grid-points", "2000000"],
+     "row count (--alpha-sweep count x --grid-points x times x chambers) is 20000000"),
+    (["parseval", "--alpha-sweep", "0.1:1.5:4000000", "--n-trunc", "1,2,3"],
+     "row count (--alpha-sweep count x --n-trunc count) is 12000000"),
+    (["coeffs", "--alpha-sweep", "0.1:1.5:2000", "--n-trunc", "10000"],
+     "row count (--alpha-sweep count x --n-trunc) is 20000000"),
+    (["coeffs", "--n-trunc", "10001"], "--n-trunc is 10001"),
+    (["evolve", "--n-trunc", "1000001"], "--n-trunc is 1000001"),
+], ids=["energy", "energy-sweep", "cost-sweep", "evolve-grid", "parseval-sweep",
+        "coeffs-sweep", "coeffs-n", "evolve-n"])
+def test_size_above_limit_exits_2_before_allocating(argv, message, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking the size")
+
+    # every size check comes before the sweep is built or anything is computed
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    for name in ("expand", "delta_energy", "post_insertion_cost", "truncation_sums"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    limit = cli.ROW_LIMIT if message.startswith("row count") else \
+        {"coeffs": cli.COEFFS_N_LIMIT, "evolve": cli.EVOLVE_N_LIMIT}[argv[0]]
+    assert err == f"ringsplit: {message}, above the limit of {limit}\n"
+
+
+@pytest.mark.parametrize("argv,lines_read", [
+    # about 4 MB of CSV, far more than a pipe holds: breaks while writing
+    (["energy", "--nm-max", "200"], 1),
+    # one row, still in the stdout buffer when the table is done
+    (["cost", "--n-trunc", "10"], 0),
+], ids=["energy", "cost"])
+def test_closed_stdout_pipe_exits_141_silently(argv, lines_read):
+    env = subprocess_env()
+    # a buffered stdout, as by default, holds the last rows until the flush
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader:
+        if not lines_read:
+            reader.close()
+        proc = subprocess.Popen([sys.executable, "-m", "ringsplit.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        for _ in range(lines_read):
+            assert reader.readline().startswith(b"alpha,")
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 # ---------------------------------------------------------------- config handling

@@ -45,6 +45,10 @@ RUNS = {
     # O(1) in the truncation; a build that allocates O(N) arrays cannot run these
     "cost-huge": ["cost", "--alpha", PI4, "--n-trunc", "1000000000000", "--epsilon", "0.5"],
     "parseval-huge": ["parseval", "--alpha", "1.1", "--n-trunc", "1000000000,1000000000000"],
+    # more rows than two blocks of cli.BLOCK_ROWS (4096), with a partial last block
+    "energy-blocks": ["energy", "--alpha", "0.5", "--nm-max", "95"],
+    "evolve-blocks": ["evolve", "--alpha", "0.7", "--n-trunc", "1000", "--grid-points",
+                      "3001", "--time-fracs", "0,0.37,1"],
 }
 
 
