@@ -15,10 +15,10 @@ from .evolution import (EvolvedChamberState, evolve, revival_period,
                         sample_amplitude, sample_density)
 from .expansion import (ChamberExpansion, ChamberGeometry, CoeffDiscrepancy,
                         TruncationSums, coefficient, delta_energy, expand,
-                        oracle_coefficient, sign_discrepancies,
+                        oracle_coefficient, oracle_coefficients, sign_discrepancies,
                         single_barrier_coefficients, single_well_projection,
                         truncation_sums)
-from .quadrature import ConvergenceError, integrate, project_mode
+from .quadrature import ConvergenceError, integrate, project_mode, project_modes
 from .ring import RingState, reference_state, ring_overlap, ring_state, shifted_state
 
 __version__ = "0.1.0"
@@ -29,7 +29,8 @@ __all__ = [
     "ExtendedState", "RingState", "TruncationSums",
     "build_extended", "coefficient", "delta_energy", "evolve",
     "expand", "extended_overlap", "helstrom_cost", "helstrom_oracle", "integrate",
-    "oracle_coefficient", "post_insertion_cost", "project_mode", "reference_state",
+    "oracle_coefficient", "oracle_coefficients", "post_insertion_cost", "project_mode",
+    "project_modes", "reference_state",
     "revival_period", "ring_overlap", "ring_state",
     "sample_amplitude", "sample_density", "shifted_state", "sign_discrepancies",
     "single_barrier_coefficients", "single_well_projection", "truncation_sums",

@@ -21,8 +21,10 @@ import numpy as np
 
 from .discrimination import BarrierModel, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
-from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, delta_energy, expand,
-                        oracle_coefficient, sign_discrepancies, truncation_sums)
+# oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
+from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, delta_energy, expand,  # noqa: F401
+                        oracle_coefficient, oracle_coefficients, sign_discrepancies,
+                        truncation_sums)
 from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
 
@@ -30,6 +32,9 @@ ENV_CONFIG = "RINGSPLIT_CONFIG"
 #: exit code when stdout's reader closes early: 128 + SIGPIPE, as a shell
 #: reports a process that signal ended
 EXIT_BROKEN_PIPE = 141
+#: exit code when an output (the table or the sign-correction log) cannot be
+#: written: EX_IOERR of sysexits.h
+EXIT_IO_ERROR = 74
 
 VARIANT_CHOICES = DELTA_E_VARIANTS + ("both",)
 FORMAT_CHOICES = ("csv", "json")
@@ -41,7 +46,8 @@ BLOCK_ROWS = 4096
 #: builds an array
 ROW_LIMIT = 10_000_000
 #: largest --n-trunc of coeffs, whose oracle costs O(N^2) quadrature nodes
-#: (3.7 s at N = 500), and of evolve; cost and parseval are O(1) in N
+#: (0.6 s at N = 500, one batched projection per chamber), and of evolve;
+#: cost and parseval are O(1) in N
 COEFFS_N_LIMIT = 10_000
 EVOLVE_N_LIMIT = 1_000_000
 
@@ -182,8 +188,12 @@ def _number_list(cast):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        config = json.load(fh)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        # a config that cannot be read is invalid configuration, not an I/O error
+        raise ValueError(f"cannot read config file: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config file {path!r} must contain a JSON object")
     return config
@@ -288,9 +298,8 @@ def run_coeffs(args: argparse.Namespace):
         exp_sh = expand(shifted_state(alpha), alpha, n_trunc)
         # both candidates have the same coefficient magnitudes, so the same deficit
         deficit = np.full(n_trunc, truncation_sums(alpha, n_trunc).deficit)
-        # one quadrature per (kind, n), shared by the table and the sign check
-        oracle = {kind: np.array([oracle_coefficient(kind, n, alpha) for n in modes.tolist()])
-                  for kind in COEFF_KINDS}
+        # one batched quadrature per chamber, shared by the table and the sign check
+        oracle = oracle_coefficients(alpha, n_trunc)
         closed = [exp_ref.coeffs_1, exp_ref.coeffs_2, exp_sh.coeffs_1, exp_sh.coeffs_2]
         normalized = [exp_ref.norm_coeffs_1, exp_ref.norm_coeffs_2,
                       exp_sh.norm_coeffs_1, exp_sh.norm_coeffs_2]
@@ -323,14 +332,12 @@ def run_energy(args: argparse.Namespace):
     idx = np.arange(1, nm_max + 1)
     # (n, m) flattened with n outer and m inner
     n, m = np.repeat(idx, nm_max), np.tile(idx, nm_max)
+    variants = DELTA_E_VARIANTS if both else (args.variant,)
     parts = []
     for alpha in alphas:
-        nominal, conserving = (delta_energy(idx[:, None], idx, alpha, variant=v).ravel()
-                               for v in DELTA_E_VARIANTS)
+        values = [delta_energy(idx[:, None], idx, alpha, variant=v).ravel() for v in variants]
         if both:
-            values = [nominal, conserving, nominal - conserving]
-        else:
-            values = [nominal if args.variant == "nominal" else conserving]
+            values.append(values[0] - values[1])
         parts.append([np.full(nm_max**2, alpha), n, m, *values])
     return header, _concatenate(parts)
 
@@ -479,9 +486,13 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"ringsplit: quadrature failed to converge: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"ringsplit: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # reading the config raises ValueError, so this is a failed write
+        print(f"ringsplit: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     return 0
 
 

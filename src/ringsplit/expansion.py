@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import project_mode
+from .quadrature import project_mode, project_modes
 from .ring import HBAR, MASS, TWO_PI, RingState
 
 HALF_PI = 0.5 * math.pi
@@ -181,6 +181,23 @@ def oracle_coefficient(kind: str, n: int, alpha: float) -> float:
     lo, hi = ChamberGeometry(alpha).bounds(chamber)
     shape = _waveform(alpha if shifted else 0.0)
     return project_mode(shape, lo, hi, n) / math.pi
+
+
+def oracle_coefficients(alpha: float, n_max: int) -> dict[str, np.ndarray]:
+    """Every kind's coefficients for n = 1..n_max by quadrature, as
+    ``oracle_coefficient`` gives them one at a time.
+
+    One batched projection per chamber: the two candidates of a chamber (kinds
+    a/c in chamber 1, b/d in chamber 2) share its rule and its sine matrix.
+    """
+    geometry = ChamberGeometry(alpha)
+    modes = np.arange(1, _check_truncation(n_max) + 1)
+    shapes = [_waveform(0.0), _waveform(alpha)]
+    out = {}
+    for chamber, (reference, shifted) in zip(CHAMBERS, ("ac", "bd")):
+        lo, hi = geometry.bounds(chamber)
+        out[reference], out[shifted] = project_modes(shapes, lo, hi, modes) / math.pi
+    return {kind: out[kind] for kind in COEFF_KINDS}
 
 
 @dataclass(frozen=True)
@@ -453,15 +470,16 @@ def sign_discrepancies(alpha: float, n_max: int, *, oracle=None) -> list[CoeffDi
     can never match it; kind d matches for every n wherever the oracle
     resolves the coefficient (down to about alpha = 1e-13). ``oracle`` maps
     each kind to its oracle values for n = 1..n_max when the caller has
-    already computed them; without it they are integrated here.
+    already computed them; without it they come from ``oracle_coefficients``.
     """
     n_max = _check_truncation(n_max)
+    if oracle is None:
+        oracle = oracle_coefficients(alpha, n_max)
     records = []
     for kind in COEFF_KINDS:
         adopted = coefficient(kind, np.arange(1, n_max + 1), alpha)
         uncorrected = _KINDS[kind][3] * adopted
-        exact = np.asarray(oracle[kind] if oracle is not None else
-                           [oracle_coefficient(kind, n, alpha) for n in range(1, n_max + 1)])
+        exact = np.asarray(oracle[kind])
         flipped = ((np.abs(uncorrected - exact) > np.abs(adopted))
                    & (np.abs(adopted) >= np.abs(adopted - exact)))
         records.extend(

@@ -148,18 +148,30 @@ def test_coeffs_table_and_discrepancy_log(tmp_path, capsys):
 def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counted(kind, n, alpha, **kw):
-        calls.append((kind, n))
-        return oracle(kind, n, alpha, **kw)
+    def counted(alpha, n_max):
+        calls.append((alpha, n_max))
+        return oracle(alpha, n_max)
 
-    oracle = ringsplit.expansion.oracle_coefficient
-    monkeypatch.setattr(ringsplit.cli, "oracle_coefficient", counted)
-    monkeypatch.setattr(ringsplit.expansion, "oracle_coefficient", counted)
-    code, _, _ = run_cli(["coeffs", "--n-trunc", "7", "--discrepancies",
-                          str(tmp_path / "disc.csv")], capsys)
+    def refuse(*args, **kwargs):
+        raise AssertionError("sign_discrepancies integrated again")
+
+    def sign_log(alpha, n_max, *, oracle=None):
+        # given the table's oracle values, the sign log does no quadrature
+        assert oracle is not None
+        with monkeypatch.context() as m:
+            m.setattr(ringsplit.expansion, "project_modes", refuse)
+            m.setattr(ringsplit.expansion, "project_mode", refuse)
+            return sign_discrepancies(alpha, n_max, oracle=oracle)
+
+    oracle = ringsplit.expansion.oracle_coefficients
+    sign_discrepancies = ringsplit.expansion.sign_discrepancies
+    monkeypatch.setattr(ringsplit.cli, "oracle_coefficients", counted)
+    monkeypatch.setattr(ringsplit.cli, "sign_discrepancies", sign_log)
+    code, _, _ = run_cli(["coeffs", "--alpha-sweep", "0.25:1.25:3", "--n-trunc", "7",
+                          "--discrepancies", str(tmp_path / "disc.csv")], capsys)
     assert code == 0
-    assert len(calls) == 4 * 7
-    assert len(set(calls)) == 4 * 7
+    # one batched oracle per alpha, covering every kind and n
+    assert calls == [(0.25, 7), (0.75, 7), (1.25, 7)]
 
 
 def test_coeffs_reports_every_sign_correction_at_tiny_alpha(capsys):
@@ -196,6 +208,25 @@ def test_energy_single_variant_column(capsys):
     header, rows = read_csv_text(out)
     assert header == ["alpha", "n", "m", "delta_e"]
     assert len(rows) == 9
+
+
+@pytest.mark.parametrize("variant,per_alpha", [
+    ("nominal", ["nominal"]), ("conserving", ["conserving"]),
+    ("both", ["nominal", "conserving"]),
+])
+def test_energy_computes_only_the_variants_asked_for(variant, per_alpha, capsys, monkeypatch):
+    variants = []
+
+    def counted(n, m, alpha, variant):
+        variants.append(variant)
+        return delta_energy(n, m, alpha, variant=variant)
+
+    delta_energy = cli.delta_energy
+    monkeypatch.setattr(cli, "delta_energy", counted)
+    code, _, _ = run_cli(["energy", "--alpha-sweep", "0.3:1.5:3", "--nm-max", "4",
+                          "--variant", variant], capsys)
+    assert code == 0
+    assert variants == per_alpha * 3
 
 
 # ---------------------------------------------------------------- evolve
@@ -432,6 +463,35 @@ def test_closed_stdout_pipe_exits_141_silently(argv, lines_read):
     err = proc.communicate(timeout=60)[1]
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["cost", "--n-trunc", "10", "--out", "/dev/full"],
+    ["coeffs", "--n-trunc", "3", "--discrepancies", "/dev/full"],
+], ids=["out", "discrepancies"])
+def test_failed_write_exits_74(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_IO_ERROR == 74
+    assert err.startswith("ringsplit: cannot write output: [Errno 28]")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_stdout_exits_74():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ringsplit.cli", "cost", "--n-trunc", "10"],
+                              stdout=full, stderr=subprocess.PIPE, env=subprocess_env(),
+                              timeout=60)
+    assert proc.returncode == 74
+    assert proc.stderr.startswith(b"ringsplit: cannot write output: [Errno 28]")
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, out, err = run_cli(["cost", "--config", str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ringsplit: cannot read config file: [Errno 2]")
 
 
 # ---------------------------------------------------------------- config handling

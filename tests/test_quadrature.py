@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ringsplit import ConvergenceError, integrate, project_mode
+from ringsplit import ConvergenceError, integrate, project_mode, quadrature
+from ringsplit.quadrature import project_modes
 
 
 def test_polynomial_exact():
@@ -52,3 +53,52 @@ def test_mode_orthogonality(n, m):
 def test_project_mode_rejects_bad_index():
     with pytest.raises(ValueError):
         project_mode(lambda th: th, 0.0, 1.0, 0)
+
+
+def _chamber_waves(alpha):
+    """Each chamber's bounds and its two candidate waveforms (kinds a/c, then b/d)."""
+    waves = [lambda th: np.sin(th), lambda th: np.sin(th - alpha)]
+    return [((0.0, alpha), waves), ((alpha, 2.0 * math.pi), waves)]
+
+
+@pytest.mark.parametrize("alpha", [0.3, math.pi / 4, math.pi / 2])
+def test_project_modes_matches_per_mode_integration(alpha):
+    # the route before batching: one adaptive integration of the explicit
+    # product per mode, with max(4, n) panels
+    modes = np.arange(1, 61)
+    for (lo, hi), waves in _chamber_waves(alpha):
+        batched = project_modes(waves, lo, hi, modes)
+        assert batched.shape == (2, 60)
+        for f, row in zip(waves, batched):
+            for n, value in zip(modes.tolist(), row):
+                scale = n * math.pi / (hi - lo)
+                reference = integrate(lambda th: f(th) * np.sin(scale * (th - lo)), lo, hi,
+                                      panels=max(4, n))
+                assert abs(value - reference) <= 1e-14, (lo, n)
+
+
+def test_project_modes_independent_of_row_block(monkeypatch):
+    (lo, hi), waves = _chamber_waves(math.pi / 4)[1]
+    modes = np.arange(1, 301)
+    default = project_modes(waves, lo, hi, modes)
+    for block in (1, 1000):
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+        # each value is a pairwise sum along one row, so the block shape
+        # changes no bit
+        assert np.array_equal(project_modes(waves, lo, hi, modes), default)
+    # nor does projecting one mode and one waveform alone (4 panels up to mode 16)
+    small = project_modes(waves, lo, hi, modes[:16])
+    assert all(project_mode(f, lo, hi, n) == small[i, n - 1]
+               for i, f in enumerate(waves) for n in range(1, 17))
+
+
+def test_project_modes_kink_fails_with_estimate():
+    kink = 1.0 / 3.0
+    with pytest.raises(ConvergenceError) as excinfo:
+        project_modes([lambda x: np.abs(x - kink)], 0.0, 1.0, [1, 2, 3])
+    assert excinfo.value.achieved > quadrature.TOL
+
+
+def test_project_modes_rejects_mode_zero():
+    with pytest.raises(ValueError, match="mode index must be >= 1"):
+        project_modes([np.sin], 0.0, 1.0, [1, 0, 2])
