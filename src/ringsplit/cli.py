@@ -22,9 +22,9 @@ import numpy as np
 from .discrimination import BarrierModel, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
 # oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
-from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, delta_energy, expand,  # noqa: F401
-                        oracle_coefficient, oracle_coefficients, sign_discrepancies,
-                        truncation_sums)
+from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, coefficient,  # noqa: F401
+                        delta_energy, expand, oracle_coefficient, oracle_coefficients,
+                        sign_discrepancies, truncation_sums)
 from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
 
@@ -50,6 +50,8 @@ ROW_LIMIT = 10_000_000
 #: cost and parseval are O(1) in N
 COEFFS_N_LIMIT = 10_000
 EVOLVE_N_LIMIT = 1_000_000
+#: evolve's --time-fracs when neither --time-fracs nor --times is given
+DEFAULT_TIME_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class Table:
@@ -228,7 +230,8 @@ def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) ->
 
     Flags given on the command line still win. Keys of another subcommand's
     flags are skipped, so one config file can serve several subcommands; any
-    other unknown key is an error.
+    other unknown key is an error. A config sets at most one member of each
+    mutually exclusive group, and a member given as a flag drops its value.
     """
     config = _load_config(flags.config)
     subparsers = next(a.choices for a in parser._actions
@@ -243,10 +246,17 @@ def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) ->
             defaults[key] = _config_value(own[key], key, value)
         elif not any(key in other for other in options.values()):
             raise ValueError(f"unknown config key {key!r}")
-    if flags.alpha is not None:
-        # --alpha on the command line also beats a configured sweep
-        defaults.pop("alpha_sweep", None)
-    subparsers[flags.command].set_defaults(**defaults)
+    chosen = subparsers[flags.command]
+    for group in chosen._mutually_exclusive_groups:
+        keys = [action.dest for action in group._group_actions]
+        configured = [key for key in keys if key in defaults]
+        if len(configured) > 1:
+            raise ValueError(f"config keys {' and '.join(map(repr, configured))} "
+                             "exclude each other")
+        # the members of a group default to None, so a set one came as a flag
+        if configured and any(getattr(flags, key) is not None for key in keys):
+            del defaults[configured[0]]
+    chosen.set_defaults(**defaults)
 
 
 # ---------------------------------------------------------------- cost
@@ -300,7 +310,7 @@ def run_coeffs(args: argparse.Namespace):
         deficit = np.full(n_trunc, truncation_sums(alpha, n_trunc).deficit)
         # one batched quadrature per chamber, shared by the table and the sign check
         oracle = oracle_coefficients(alpha, n_trunc)
-        closed = [exp_ref.coeffs_1, exp_ref.coeffs_2, exp_sh.coeffs_1, exp_sh.coeffs_2]
+        closed = [coefficient(kind, modes, alpha) for kind in COEFF_KINDS]
         normalized = [exp_ref.norm_coeffs_1, exp_ref.norm_coeffs_2,
                       exp_sh.norm_coeffs_1, exp_sh.norm_coeffs_2]
         exact = [oracle[kind] for kind in COEFF_KINDS]
@@ -352,8 +362,8 @@ def run_evolve(args: argparse.Namespace):
         raise ValueError("--grid-points must be >= 2")
     _check_limit("--n-trunc", args.n_trunc, EVOLVE_N_LIMIT)
     chambers = (1, 2) if args.chamber == "both" else (int(args.chamber),)
-    times = args.time_fracs if args.times is None else args.times
-    alphas = _alphas(args, args.grid_points * len(times) * len(chambers),
+    fracs = args.time_fracs or DEFAULT_TIME_FRACS
+    alphas = _alphas(args, args.grid_points * len(args.times or fracs) * len(chambers),
                      "--alpha-sweep count x --grid-points x times x chambers")
     if len(alphas) != 1:
         raise ValueError("evolve takes a single --alpha, not a sweep")
@@ -365,7 +375,7 @@ def run_evolve(args: argparse.Namespace):
         lo, hi = expansion.geometry.bounds(chamber)
         grid = np.linspace(lo, hi, args.grid_points)
         period = revival_period(expansion.geometry.width(chamber))
-        for t in times if args.times is not None else [f * period for f in times]:
+        for t in args.times or [f * period for f in fracs]:
             density = sample_density(evolve(expansion, chamber, t), grid)
             parts.append([grid, density, np.full(grid.size, t),
                           np.full(grid.size, chamber)])
@@ -455,12 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="chamber(s) to sample (default both)")
     p_evolve.add_argument("--grid-points", type=int, default=4096,
                           help="grid points per chamber (default 4096)")
-    p_evolve.add_argument("--time-fracs", type=_number_list(float),
-                          default="0,0.25,0.5,0.75,1",
-                          help="comma list of times as fractions of the revival period "
-                               "(default 0,0.25,0.5,0.75,1)")
-    p_evolve.add_argument("--times", type=_number_list(float), default=None,
-                          help="comma list of absolute times (overrides --time-fracs)")
+    time_group = p_evolve.add_mutually_exclusive_group()
+    time_group.add_argument("--time-fracs", type=_number_list(float), default=None,
+                            help="comma list of times as fractions of the revival period "
+                                 "(default 0,0.25,0.5,0.75,1)")
+    time_group.add_argument("--times", type=_number_list(float), default=None,
+                            help="comma list of absolute times")
 
     p_parseval = sub.add_parser("parseval", help="completeness deficits vs truncation")
     _add_common_flags(p_parseval, run_parseval)

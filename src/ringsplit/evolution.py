@@ -44,7 +44,8 @@ def revival_period(width: float) -> float:
 
 @dataclass(frozen=True)
 class EvolvedChamberState:
-    """One chamber's state at a fixed time.
+    """One chamber's state at a fixed time, held as the revival fraction
+    tau = t/T of the chamber's revival period T.
 
     The t=0 coefficients are stored as given (real); phases are applied when
     the complex coefficients are materialized, so the squared norm is constant
@@ -54,11 +55,7 @@ class EvolvedChamberState:
     geometry: ChamberGeometry
     chamber: int
     base_coefficients: np.ndarray = field(repr=False)
-    time: float
-
-    @property
-    def width(self) -> float:
-        return self.geometry.width(self.chamber)
+    tau: float
 
     @property
     def norm_sq(self) -> float:
@@ -66,10 +63,9 @@ class EvolvedChamberState:
         return float(self.base_coefficients @ self.base_coefficients)
 
     def phases(self) -> np.ndarray:
-        """exp(-i*E_n*time/hbar) per mode, via the fractional part of n^2*t/T."""
+        """exp(-i*E_n*t/hbar) per mode, via the fractional part of n^2*tau."""
         n = np.arange(1, self.base_coefficients.size + 1, dtype=float)
-        tau = self.time / revival_period(self.width)
-        return np.exp(-2j * math.pi * np.mod(n * n * tau, 1.0))
+        return np.exp(-2j * math.pi * np.mod(n * n * self.tau, 1.0))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -85,24 +81,24 @@ def evolve(expansion: ChamberExpansion, chamber: int, t: float) -> EvolvedChambe
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    coeffs = np.asarray(expansion.norm_coeffs(chamber), dtype=float)
-    period = revival_period(expansion.geometry.width(chamber))
-    if coeffs.size ** 2 * abs(t) / period >= 2.0 ** 52:
+    geometry = expansion.geometry
+    # width() rejects a chamber other than 1 or 2
+    tau = float(t) / revival_period(geometry.width(chamber))
+    coeffs = expansion.norm_coeffs_1 if chamber == 1 else expansion.norm_coeffs_2
+    if coeffs.size ** 2 * abs(tau) >= 2.0 ** 52:
         raise ValueError(
             f"time {t!r} is too large to resolve the phases of {coeffs.size} modes: "
             "n_trunc^2 * |t| / T must stay below 2**52")
     return EvolvedChamberState(
-        geometry=expansion.geometry,
-        chamber=chamber,
-        base_coefficients=coeffs,
-        time=float(t),
-    )
+        geometry=geometry, chamber=chamber, base_coefficients=coeffs, tau=tau)
 
 
 def _check_grid(state: EvolvedChamberState, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     lo, hi = state.geometry.bounds(state.chamber)
-    if grid.size and (grid.min() < lo - 1e-12 or grid.max() > hi + 1e-12):
+    # relative to the width, so that a tiny chamber admits no far-off point
+    slack = 1e-12 * state.geometry.width(state.chamber)
+    if grid.size and (grid.min() < lo - slack or grid.max() > hi + slack):
         raise ValueError(
             f"grid extends outside chamber {state.chamber} bounds [{lo}, {hi}]")
     return grid
@@ -112,7 +108,7 @@ def sample_amplitude(state: EvolvedChamberState, grid) -> np.ndarray:
     """Complex wave-function values on a grid inside the chamber."""
     grid = _check_grid(state, grid)
     lo, _ = state.geometry.bounds(state.chamber)
-    width = state.width
+    width = state.geometry.width(state.chamber)
     n = np.arange(1, state.base_coefficients.size + 1, dtype=float)
     basis = math.sqrt(2.0 / width) * np.sin(np.outer(grid - lo, n) * math.pi / width)
     return basis @ state.coefficients
@@ -134,7 +130,7 @@ def _uniform_density(state: EvolvedChamberState, intervals: int) -> np.ndarray:
     spectrum = np.fft.fft(folded)
     j = np.arange(intervals + 1)
     sines = (spectrum[-j % period] - spectrum[j]) / 2j
-    return (2.0 / state.width) * np.abs(sines) ** 2
+    return (2.0 / state.geometry.width(state.chamber)) * np.abs(sines) ** 2
 
 
 def sample_density(state: EvolvedChamberState, grid) -> np.ndarray:

@@ -6,7 +6,7 @@ turns the ring into two independent infinite square wells: chamber 1 on
 the Dirichlet sine modes of the chambers; the mode of chamber c with index n
 is sin(n*pi*(theta - lo_c)/width_c).
 
-Two coefficient conventions run in parallel:
+Each coefficient convention has one source:
 
 * ``coefficient(kind, n, alpha)`` gives the 1/pi-weighted integrals of the
   bare waveform sin(theta - offset) against the bare chamber sines (kinds
@@ -15,8 +15,9 @@ Two coefficient conventions run in parallel:
   c = chamber-1 form, b = chamber-2 form, a = (-1)^n c and d = (-1)^n b.
   These are not projections onto unit vectors, so their squares are not
   probabilities.
-* the *normalized* coefficients are projections onto the orthonormal modes
-  sqrt(2/width)*sin(...): A_n = sqrt(2*pi/alpha) * a_n for chamber 1 and
+* ``expand(state, alpha, n_trunc)`` gives the *normalized* coefficients, the
+  projections onto the orthonormal modes sqrt(2/width)*sin(...):
+  A_n = sqrt(2*pi/alpha) * a_n for chamber 1 and
   B_m = sqrt(2*pi/(2*pi - alpha)) * b_m for chamber 2. Their squares sum to 1
   as the truncation grows (Parseval); the squares beyond the truncation sum
   to the *deficit*.
@@ -204,27 +205,16 @@ def oracle_coefficients(alpha: float, n_max: int) -> dict[str, np.ndarray]:
 class ChamberExpansion:
     """Truncated two-chamber expansion of one candidate.
 
-    ``coeffs_1``/``coeffs_2`` hold the 1/pi-weighted series coefficients for
-    modes 1..n_trunc; ``norm_coeffs_1``/``norm_coeffs_2`` the projections onto
-    the orthonormal chamber modes.
+    ``norm_coeffs_1``/``norm_coeffs_2`` hold the projections onto the
+    orthonormal modes 1..n_trunc of chambers 1/2; ``coefficient`` gives the
+    1/pi-weighted forms.
     """
 
     geometry: ChamberGeometry
     n_trunc: int
     state_offset: float
-    coeffs_1: np.ndarray = field(repr=False)
-    coeffs_2: np.ndarray = field(repr=False)
     norm_coeffs_1: np.ndarray = field(repr=False)
     norm_coeffs_2: np.ndarray = field(repr=False)
-
-    def norm_coeffs(self, chamber: int) -> np.ndarray:
-        self.geometry._check_chamber(chamber)
-        return self.norm_coeffs_1 if chamber == 1 else self.norm_coeffs_2
-
-    @property
-    def completeness(self) -> float:
-        """Sum of squared normalized coefficients; tends to 1 as n_trunc grows."""
-        return truncation_sums(self.geometry.alpha, self.n_trunc).completeness
 
     @property
     def deficit(self) -> float:
@@ -382,8 +372,6 @@ def expand(state: RingState, alpha: float, n_trunc: int) -> ChamberExpansion:
         geometry=geometry,
         n_trunc=n_trunc,
         state_offset=float(state.offset),
-        coeffs_1=c1,
-        coeffs_2=c2,
         norm_coeffs_1=math.sqrt(TWO_PI / geometry.width(1)) * c1,
         norm_coeffs_2=math.sqrt(TWO_PI / geometry.width(2)) * c2,
     )

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -82,6 +83,29 @@ def test_cost_deterministic_output(tmp_path, capsys):
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _digest_tool():
+    """tools/cli_digests.py, imported by path (tools/ is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tables_match_checked_in_digests(tmp_path, capsys, monkeypatch):
+    # every run of tools/cli_digests.py, in-process; a change that moves the
+    # bytes on purpose regenerates tools/cli_digests.sha256
+    tool = _digest_tool()
+    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
+    lines = []
+    for argv, files in tool.invocations(tmp_path):
+        assert main(argv) == 0, argv
+        lines.extend(tool.digest_line(path) for path in files)
+    capsys.readouterr()
+    manifest = Path(tool.__file__).with_name("cli_digests.sha256")
+    assert lines == manifest.read_text().splitlines()
 
 
 def subprocess_env():
@@ -619,6 +643,54 @@ def test_alpha_and_sweep_mutually_exclusive(capsys):
         main(["cost", "--alpha", "0.5", "--alpha-sweep", "0.1:1:3"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_time_fracs_and_times_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evolve", "--time-fracs", "0.5", "--times", "0.1"])
+    assert excinfo.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+EVOLVE_SMALL = ["evolve", "--n-trunc", "10", "--grid-points", "3", "--chamber", "1"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    ([*EVOLVE_SMALL, "--times", "0.1"], {"time_fracs": [0.5]}),
+    (["cost", "--n-trunc", "10", "--alpha", "0.5"], {"alpha_sweep": "0.1:1:3"}),
+    (["cost", "--n-trunc", "10", "--alpha-sweep", "0.2:0.4:2"], {"alpha": 0.5}),
+], ids=["times-over-fracs", "alpha-over-sweep", "sweep-over-alpha"])
+def test_flag_drops_configured_value_of_its_pair(argv, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code_flags, out_flags, _ = run_cli(argv, capsys)
+    code_config, out_config, _ = run_cli([*argv, "--config", str(path)], capsys)
+    assert code_flags == code_config == 0
+    assert out_config == out_flags
+
+
+def test_time_fracs_flag_beats_configured_times(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"times": [0.1]}))
+    code, out, _ = run_cli([*EVOLVE_SMALL, "--time-fracs", "0.5", "--config", str(path)],
+                           capsys)
+    assert code == 0
+    header, rows = read_csv_text(out)
+    # half of chamber 1's revival period, 4*alpha^2/pi at alpha = pi/4
+    assert set(col(header, rows, "t")) == {0.5 * math.pi / 4}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("cost", {"alpha": 0.5, "alpha_sweep": "0.1:1:3"}),
+    ("evolve", {"time_fracs": 0.5, "times": 0.1}),
+])
+def test_config_naming_both_members_of_a_pair_exits_2(command, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert all(repr(key) in err for key in config)
 
 
 def test_bad_sweep_spec_exits_nonzero(capsys):

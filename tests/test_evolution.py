@@ -124,6 +124,26 @@ def test_grid_outside_chamber_rejected():
         sample_density(state, [-0.2])
 
 
+@pytest.mark.parametrize("path", [sample_density, sample_amplitude])
+def test_grid_slack_scales_with_the_chamber(path):
+    # a fixed 1e-12 of slack once let points 9 widths beyond a 1e-13 chamber through
+    alpha = 1e-13
+    state = evolve(_expansion(50, alpha), 1, 0.0)
+    with pytest.raises(ValueError, match="outside chamber 1"):
+        path(state, [0.0, 5e-13, 1e-12])
+    with pytest.raises(ValueError, match="outside chamber 1"):
+        path(state, [-1e-24, alpha])
+    assert path(state, np.linspace(0.0, alpha, 5)).shape == (5,)
+
+
+@pytest.mark.parametrize("chamber", [1, 2])
+def test_evolved_state_carries_its_revival_fraction(chamber):
+    e = _expansion(40)
+    period = revival_period(e.geometry.width(chamber))
+    assert evolve(e, chamber, 0.37 * period).tau == 0.37 * period / period
+    assert evolve(e, chamber, -2.5).tau == -2.5 / period
+
+
 # ---------------------------------------------------------------- FFT (DST-I) path
 
 def _uniform_grid(e, chamber, points):

@@ -85,6 +85,43 @@ def test_magnitude_symmetry(alpha):
         assert coefficient("d", k, alpha) == (-1) ** k * coefficient("b", k, alpha)
 
 
+#: (chamber, candidate offset is alpha) of each kind
+KIND_SHAPES = {"a": (1, False), "b": (2, False), "c": (1, True), "d": (2, True)}
+MPMATH_ALPHAS = [1e-12, 1e-9, 1e-6, 1e-3, 0.3, PI4, 1.3, math.pi / 2]
+
+
+def _defining_integral(mp, kind, n, alpha):
+    """(1/pi) * integral over the chamber (lo, lo + w) of sin(t - phi) sin(k(t - lo)),
+    k = n*pi/w, from the antiderivative
+    [sin((1 - k)t + k*lo - phi)/(1 - k) - sin((1 + k)t - k*lo - phi)/(1 + k)]/2.
+
+    k = 1 cannot occur: k >= 2 in chamber 1, and in chamber 2 k < 2/3 for
+    n = 1 and k > 1 for n >= 2.
+    """
+    chamber, shifted = KIND_SHAPES[kind]
+    a = mp.mpf(alpha)
+    lo, hi = (mp.mpf(0), a) if chamber == 1 else (a, 2 * mp.pi)
+    phi = a if shifted else mp.mpf(0)
+    k = n * mp.pi / (hi - lo)
+
+    def antiderivative(t):
+        return (mp.sin((1 - k) * t + k * lo - phi) / (1 - k)
+                - mp.sin((1 + k) * t - k * lo - phi) / (1 + k)) / 2
+    return (antiderivative(hi) - antiderivative(lo)) / mp.pi
+
+
+@pytest.mark.parametrize("alpha", MPMATH_ALPHAS)
+@pytest.mark.parametrize("kind", list(KIND_SHAPES))
+def test_closed_forms_match_mpmath(kind, alpha):
+    # independent of the quadrature oracle, whose ~1e-15 absolute floor cannot
+    # resolve the coefficients of a small alpha
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in (1, 2, 3, 7, 50, 999, 1000):
+            exact = _defining_integral(mpmath, kind, n, alpha)
+            assert abs(coefficient(kind, n, alpha) / exact - 1) <= 1e-15, (kind, n, alpha)
+
+
 def test_coefficient_rejects_bad_inputs():
     with pytest.raises(ValueError):
         coefficient("a", 0, PI4)
@@ -122,20 +159,28 @@ def test_sign_log_records_every_kind_d_flip(alpha):
 
 def test_expand_normalized_relation():
     e = expand(reference_state(), PI4, 32)
+    n = np.arange(1, 33)
     np.testing.assert_allclose(
-        e.norm_coeffs_1, math.sqrt(2.0 * math.pi / PI4) * e.coeffs_1, rtol=1e-15)
+        e.norm_coeffs_1, math.sqrt(2.0 * math.pi / PI4) * coefficient("a", n, PI4),
+        rtol=1e-15)
     np.testing.assert_allclose(
         e.norm_coeffs_2,
-        math.sqrt(2.0 * math.pi / (2.0 * math.pi - PI4)) * e.coeffs_2, rtol=1e-15)
+        math.sqrt(2.0 * math.pi / (2.0 * math.pi - PI4)) * coefficient("b", n, PI4),
+        rtol=1e-15)
 
 
 def test_expand_selects_candidate_by_offset():
     e_ref = expand(reference_state(), PI4, 6)
     e_sh = expand(shifted_state(PI4), PI4, 6)
     n = np.arange(1, 7)
-    np.testing.assert_allclose(e_ref.coeffs_1, coefficient("a", n, PI4), rtol=1e-15)
-    np.testing.assert_allclose(e_sh.coeffs_1, coefficient("c", n, PI4), rtol=1e-15)
-    np.testing.assert_allclose(e_sh.coeffs_2, coefficient("d", n, PI4), rtol=1e-15)
+    scale_1 = math.sqrt(2.0 * math.pi / PI4)
+    scale_2 = math.sqrt(2.0 * math.pi / (2.0 * math.pi - PI4))
+    np.testing.assert_allclose(e_ref.norm_coeffs_1, scale_1 * coefficient("a", n, PI4),
+                               rtol=1e-15)
+    np.testing.assert_allclose(e_sh.norm_coeffs_1, scale_1 * coefficient("c", n, PI4),
+                               rtol=1e-15)
+    np.testing.assert_allclose(e_sh.norm_coeffs_2, scale_2 * coefficient("d", n, PI4),
+                               rtol=1e-15)
 
 
 def test_expand_rejects_off_barrier_offset():

@@ -10,6 +10,10 @@ temporary directory. One ``sha256  name`` line is printed per file, including
 the sign-correction CSV that ``coeffs --discrepancies`` writes. Run it before
 and after a change and compare the two outputs: a refactor that keeps the
 tables byte-identical prints the same lines. Exits 1 if any run fails.
+
+``cli_digests.sha256`` next to this script holds the lines of the current
+tables, and the test suite checks them; a change that moves bytes on purpose
+regenerates it with ``python3 tools/cli_digests.py > tools/cli_digests.sha256``.
 """
 from __future__ import annotations
 
@@ -52,29 +56,37 @@ RUNS = {
 }
 
 
+def invocations(directory):
+    """(argv after ``ringsplit``, output files) of every run, once per format,
+    writing into ``directory``."""
+    for name, argv in RUNS.items():
+        for fmt in ("csv", "json"):
+            files = [Path(directory, f"{name}.{fmt}")]
+            extra = []
+            if argv[0] == "coeffs":
+                files.append(Path(directory, f"{name}.{fmt}.D.csv"))
+                extra = ["--discrepancies", str(files[1])]
+            yield [*argv, "--format", fmt, "--out", str(files[0]), *extra], files
+
+
+def digest_line(path: Path) -> str:
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     env.pop("RINGSPLIT_CONFIG", None)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in RUNS.items():
-            for fmt in ("csv", "json"):
-                out = Path(tmp, f"{name}.{fmt}")
-                files = [out]
-                extra = []
-                if argv[0] == "coeffs":
-                    files.append(Path(tmp, f"{name}.{fmt}.D.csv"))
-                    extra = ["--discrepancies", str(files[1])]
-                result = subprocess.run(
-                    [sys.executable, "-m", "ringsplit.cli", *argv, "--format", fmt,
-                     "--out", str(out), *extra],
-                    env=env, capture_output=True, text=True)
-                if result.returncode != 0:
-                    print(f"{name}.{fmt}: exit {result.returncode}\n{result.stderr}",
-                          file=sys.stderr)
-                    return 1
-                for path in files:
-                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        for argv, files in invocations(tmp):
+            result = subprocess.run([sys.executable, "-m", "ringsplit.cli", *argv],
+                                    env=env, capture_output=True, text=True)
+            if result.returncode != 0:
+                print(f"{files[0].name}: exit {result.returncode}\n{result.stderr}",
+                      file=sys.stderr)
+                return 1
+            for path in files:
+                print(digest_line(path))
     return 0
 
 
