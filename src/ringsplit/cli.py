@@ -12,6 +12,7 @@ same argparse types and choices as the flags.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -46,7 +47,8 @@ BLOCK_ROWS = 4096
 #: builds an array
 ROW_LIMIT = 10_000_000
 #: largest --n-trunc of coeffs, whose oracle costs O(N^2) quadrature nodes
-#: (0.6 s at N = 500, one batched projection per chamber), and of evolve;
+#: (one batched projection per chamber: 0.7 s at N = 500 and 8.3 s at
+#: N = 2000 on a 2-core Xeon, so about 200 s at this limit), and of evolve;
 #: cost and parseval are O(1) in N
 COEFFS_N_LIMIT = 10_000
 EVOLVE_N_LIMIT = 1_000_000
@@ -76,19 +78,40 @@ def _column(values: list):
     return values if array.dtype.kind == "U" else array
 
 
-def _write_rows(stream, row_format: str, table: Table, sep: str) -> None:
-    """Write ``row_format % row`` for every row, with ``sep`` between rows.
+def _holds_one_value(col) -> bool:
+    """Whether a block of a numeric column holds one value, judged on its
+    bytes, so that -0.0 and 0.0 keep their own text. (A first numpy ``==``
+    and ``.all()`` would add 0.25 MB of peak RSS to every small table.)"""
+    if not isinstance(col, np.ndarray) or col.dtype.kind not in "fiu":
+        return False  # str cells and ints beyond int64
+    return col.tobytes() == col[:1].tobytes() * len(col)
 
-    Each block of BLOCK_ROWS rows is converted to Python values once per
-    column (``tolist``), and its rows go to the stream one by one, so no
-    text of more than one row is held at once.
+
+def _write_rows(stream, row_format, formats, table: Table, sep: str) -> None:
+    """Write every row of ``table``, with ``sep`` between rows.
+
+    ``formats`` holds each column's %-format, and ``row_format(cells)`` is the
+    format of a row whose columns take the texts or formats ``cells``. Each
+    block of BLOCK_ROWS rows is converted to Python values once per column
+    (``tolist``). A numeric column that holds one value over the block has
+    its cell formatted once, and that text, with ``%`` escaped, goes literally
+    into the block's row format; the other columns fill each row. Rows go to
+    the stream one by one, so no text of more than one row is held at once.
     """
-    later = sep + row_format
     for start in range(0, len(table), BLOCK_ROWS):
         block = [col[start:start + BLOCK_ROWS] for col in table.columns]
-        rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col for col in block])
+        cells, varying = [], []
+        for fmt, col in zip(formats, block):
+            if _holds_one_value(col):
+                cells.append((fmt % col[0].item()).replace("%", "%%"))
+            else:
+                cells.append(fmt)
+                varying.append(col.tolist() if isinstance(col, np.ndarray) else col)
+        rows = zip(*varying) if varying else itertools.repeat((), len(block[0]))
+        block_format = row_format(cells)
         if not start:
-            stream.write(row_format % next(rows))
+            stream.write(block_format % next(rows))
+        later = sep + block_format
         stream.writelines(later % row for row in rows)
 
 
@@ -103,9 +126,9 @@ def _csv_format(col) -> str:
 
 def _write_csv(header, table: Table, stream) -> None:
     """CSV as ``csv.writer`` writes it, floats as ``format(x, ".17g")``."""
-    row_format = ",".join(map(_csv_format, table.columns)) + "\n"
     stream.write(",".join(header) + "\n")
-    _write_rows(stream, row_format, table, "")
+    _write_rows(stream, lambda cells: ",".join(cells) + "\n",
+                [_csv_format(col) for col in table.columns], table, "")
 
 
 def _json_column(col):
@@ -126,9 +149,14 @@ def _write_json(header, table: Table, stream) -> None:
         stream.write("[]\n")
         return
     formats, columns = zip(*map(_json_column, table.columns))
-    fields = ",\n".join(f"    {json.dumps(key)}: {fmt}" for key, fmt in zip(header, formats))
+    keys = [json.dumps(key) for key in header]
+
+    def row_format(cells):
+        return "  {\n" + ",\n".join(f"    {key}: {cell}" for key, cell in zip(keys, cells)) \
+            + "\n  }"
+
     stream.write("[\n")
-    _write_rows(stream, "  {\n" + fields + "\n  }", Table(*columns), ",\n")
+    _write_rows(stream, row_format, formats, Table(*columns), ",\n")
     stream.write("\n]\n")
 
 
@@ -293,6 +321,8 @@ DISCREPANCY_HEADER = ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
 
 def _concatenate(parts: list) -> Table:
     """One table from per-alpha lists of equally long columns."""
+    if len(parts) == 1:
+        return Table(*parts[0])  # np.concatenate would copy every column
     return Table(*(np.concatenate(cols) for cols in zip(*parts)))
 
 

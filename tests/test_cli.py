@@ -388,6 +388,41 @@ def test_writers_match_csv_and_json_modules(n_rows):
         assert stream.getvalue() == reference(header, rows)
 
 
+def constant_block_table(n_rows, varying):
+    """Columns that hold one value over whole blocks of cli.BLOCK_ROWS rows;
+    ``step`` changes inside the second block. With ``varying``, one column
+    differs from row to row."""
+    mixed_zero = np.zeros(n_rows)
+    mixed_zero[n_rows // 2:n_rows // 2 + 1] = -0.0  # equal to 0.0, but its own bits
+    columns = {
+        "step": np.where(np.arange(n_rows) < cli.BLOCK_ROWS + 100, 0.25, 0.5),
+        "neg_zero": np.full(n_rows, -0.0),
+        "zero": np.zeros(n_rows),
+        "mixed_zero": mixed_zero,
+        "subnormal": np.full(n_rows, 5e-324),
+        "inf": np.full(n_rows, math.inf),
+        "neg_inf": np.full(n_rows, -math.inf),
+        "nan": np.full(n_rows, math.nan),
+        "big_int": np.full(n_rows, 2**53 + 1, dtype=np.int64),
+    }
+    if varying:
+        columns["third"] = np.arange(n_rows) / 3.0
+    rows = list(zip(*[col.tolist() for col in columns.values()]))
+    return list(columns), cli.Table(*columns.values()), rows
+
+
+@pytest.mark.parametrize("varying", [True, False], ids=["varying", "all-constant"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * cli.BLOCK_ROWS + 5])
+def test_writers_format_constant_columns_as_each_row_would(n_rows, varying):
+    header, table, rows = constant_block_table(n_rows, varying)
+    for write, reference in ((cli._write_csv, reference_csv),
+                             (cli._write_json, reference_json)):
+        stream = io.StringIO()
+        write(header, table, stream)
+        # lines, so that a failure names the first one that differs
+        assert stream.getvalue().split("\n") == reference(header, rows).split("\n")
+
+
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
 def test_csv_string_cell_needing_quotes_is_refused(cell):
     table = cli.Table(np.array([1.0, 2.0]), ["plain", cell])

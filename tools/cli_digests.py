@@ -53,6 +53,11 @@ RUNS = {
     "energy-blocks": ["energy", "--alpha", "0.5", "--nm-max", "95"],
     "evolve-blocks": ["evolve", "--alpha", "0.7", "--n-trunc", "1000", "--grid-points",
                       "3001", "--time-fracs", "0,0.37,1"],
+    # a column that is constant over a block and changes inside the next one:
+    # alpha at row 4900 of 9800, t and chamber every 1000 rows
+    "energy-straddle": ["energy", "--alpha-sweep", "0.3:1.5:2", "--nm-max", "70"],
+    "evolve-straddle": ["evolve", "--alpha", "0.7", "--n-trunc", "300", "--grid-points",
+                        "1000", "--time-fracs", "0,0.5,1"],
 }
 
 
