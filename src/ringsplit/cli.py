@@ -23,8 +23,8 @@ import numpy as np
 from .discrimination import BarrierModel, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
 # oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
-from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, coefficient,  # noqa: F401
-                        delta_energy, expand, oracle_coefficient, oracle_coefficients,
+from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, ChamberGeometry,  # noqa: F401
+                        coefficient, delta_energy, expand, oracle_coefficient, oracle_coefficients,
                         sign_discrepancies, truncation_sums)
 from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
@@ -193,15 +193,17 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int,
     """The alphas of --alpha or --alpha-sweep.
 
     Each alpha gives ``rows_per_alpha`` rows of the table; the row count, with
-    ``row_flags`` naming the flags that set it, is checked against ROW_LIMIT
-    before the sweep is built.
+    ``row_flags`` naming the flags that set it, is checked against ROW_LIMIT,
+    and the sweep's ends against the range of alpha, before the sweep is built.
     """
     if args.alpha_sweep is None:
         start, stop, count = math.pi / 4.0 if args.alpha is None else args.alpha, None, 1
     else:
         start, stop, count = _parse_sweep(args.alpha_sweep)
-    # an alpha that gives no rows fails later, but its sweep is still built
     _check_limit(f"row count ({row_flags})", count * max(rows_per_alpha, 1), ROW_LIMIT)
+    # the library's range check on the ends, which bound every alpha of the sweep
+    for end in (start, stop)[:count]:
+        ChamberGeometry(end)
     if count == 1:
         return (start,)
     return tuple(np.linspace(start, stop, count).tolist())

@@ -30,7 +30,7 @@ import numpy as np
 
 # expand is not called here; it stays a module attribute that the perfbench tracer patches
 from .expansion import (ChamberExpansion, ChamberGeometry, expand,  # noqa: F401
-                        node_barrier, truncation_sums)
+                        truncation_sums)
 from .ring import reference_state, ring_overlap, shifted_state
 
 NOTE_TENSOR_MODEL = (
@@ -81,8 +81,8 @@ def build_extended(expansion: ChamberExpansion) -> ExtendedState:
 
     The barrier sitting on the candidate's node transferred nothing and keeps
     the no-transfer tag; the other one carries the (n, m) tag. Which is which
-    follows from the expansion's state offset (offset 0: node at barrier 0,
-    transfer tags at alpha; offset alpha: the reverse).
+    is the expansion's ``node`` (node at barrier 0: transfer tags at alpha;
+    node at alpha: the reverse).
     """
     a = expansion.norm_coeffs_1
     b = expansion.norm_coeffs_2
@@ -93,14 +93,13 @@ def build_extended(expansion: ChamberExpansion) -> ExtendedState:
         raise ValueError(
             f"empty expansion: the chamber-{1 if na <= 0.0 else 2} weight underflowed "
             f"to 0 at alpha={expansion.geometry.alpha!r}")
-    # the barrier off the candidate's node carries the transfer tags
-    indexed = 1 - node_barrier(expansion.state_offset, expansion.geometry.alpha)
     return ExtendedState(
         geometry=expansion.geometry,
         n_trunc=expansion.n_trunc,
         chamber1_amps=a / math.sqrt(na),
         chamber2_amps=b / math.sqrt(nb),
-        indexed_barrier=indexed,
+        # the barrier off the candidate's node carries the transfer tags
+        indexed_barrier=1 - expansion.node,
         norm_sq_before=na * nb,
     )
 

@@ -122,19 +122,18 @@ def _levels(n) -> np.ndarray:
     return n.astype(float)
 
 
-#: kind -> (chamber, candidate offset is alpha, carries (-1)^n, sign of the
-#: uncorrected form). Kinds a/b are the reference candidate, c/d the shifted
-#: one; multiplying by +-1 is exact, so a = (-1)^n c and d = (-1)^n b hold
-#: bitwise.
+#: kind -> (chamber, candidate offset is alpha, carries (-1)^n). Kinds a/b
+#: are the reference candidate, c/d the shifted one; multiplying by +-1 is
+#: exact, so a = (-1)^n c and d = (-1)^n b hold bitwise.
 _KINDS = {
-    "a": (1, False, True, 1.0),
-    "b": (2, False, False, 1.0),
-    "c": (1, True, False, 1.0),
-    "d": (2, True, True, -1.0),
+    "a": (1, False, True),
+    "b": (2, False, False),
+    "c": (1, True, False),
+    "d": (2, True, True),
 }
 
 
-def _kind(kind: str) -> tuple[int, bool, bool, float]:
+def _kind(kind: str) -> tuple[int, bool, bool]:
     try:
         return _KINDS[kind]
     except KeyError:
@@ -166,7 +165,7 @@ def coefficient(kind: str, n, alpha: float):
     to the chamber-2 magnitude, not (-1)^n as in the uncorrected variant (see
     ``sign_discrepancies``).
     """
-    chamber, _, alternating, _ = _kind(kind)
+    chamber, _, alternating = _kind(kind)
     alpha = _check_alpha(alpha)
     _weight_scales(alpha)  # rejects an alpha too small for float64
     n = _levels(n)
@@ -176,29 +175,31 @@ def coefficient(kind: str, n, alpha: float):
     return out if out.ndim else float(out)
 
 
+def _oracle(alpha: float, chamber: int, modes) -> np.ndarray:
+    """Rows (reference, shifted): the one place the oracle builds its integrands,
+    both candidates' waveforms projected onto one chamber's modes, over pi."""
+    lo, hi = ChamberGeometry(alpha).bounds(chamber)
+    shapes = [_waveform(0.0), _waveform(alpha)]
+    return project_modes(shapes, lo, hi, modes) / math.pi
+
+
 def oracle_coefficient(kind: str, n: int, alpha: float) -> float:
     """Coefficient of the given kind by quadrature (the defining integral / pi)."""
-    chamber, shifted, _, _ = _kind(kind)
-    lo, hi = ChamberGeometry(alpha).bounds(chamber)
-    shape = _waveform(alpha if shifted else 0.0)
-    return project_mode(shape, lo, hi, n) / math.pi
+    chamber, shifted, _ = _kind(kind)
+    return float(_oracle(alpha, chamber, [n])[int(shifted), 0])
 
 
 def oracle_coefficients(alpha: float, n_max: int) -> dict[str, np.ndarray]:
     """Every kind's coefficients for n = 1..n_max by quadrature, as
     ``oracle_coefficient`` gives them one at a time.
 
-    One batched projection per chamber: the two candidates of a chamber (kinds
-    a/c in chamber 1, b/d in chamber 2) share its rule and its sine matrix.
+    One batched projection per chamber: the two candidates of a chamber share
+    its rule and its sine matrix, and ``_KINDS`` says which row is which kind.
     """
-    geometry = ChamberGeometry(alpha)
     modes = np.arange(1, _check_truncation(n_max) + 1)
-    shapes = [_waveform(0.0), _waveform(alpha)]
-    out = {}
-    for chamber, (reference, shifted) in zip(CHAMBERS, ("ac", "bd")):
-        lo, hi = geometry.bounds(chamber)
-        out[reference], out[shifted] = project_modes(shapes, lo, hi, modes) / math.pi
-    return {kind: out[kind] for kind in COEFF_KINDS}
+    rows = {chamber: _oracle(alpha, chamber, modes) for chamber in CHAMBERS}
+    return {kind: rows[chamber][int(shifted)]
+            for kind, (chamber, shifted, _) in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,13 @@ class ChamberExpansion:
 
     ``norm_coeffs_1``/``norm_coeffs_2`` hold the projections onto the
     orthonormal modes 1..n_trunc of chambers 1/2; ``coefficient`` gives the
-    1/pi-weighted forms.
+    1/pi-weighted forms. ``node`` is the barrier on the candidate's node, as
+    ``node_barrier`` gives it: 0 (reference candidate) or 1 (shifted).
     """
 
     geometry: ChamberGeometry
     n_trunc: int
-    state_offset: float
+    node: int
     norm_coeffs_1: np.ndarray = field(repr=False)
     norm_coeffs_2: np.ndarray = field(repr=False)
 
@@ -366,12 +368,13 @@ def expand(state: RingState, alpha: float, n_trunc: int) -> ChamberExpansion:
     geometry = ChamberGeometry(alpha)
     n_trunc = _check_truncation(n_trunc)
     n = np.arange(1, n_trunc + 1)
-    kinds = ("a", "b") if node_barrier(state.offset, alpha) == 0 else ("c", "d")
+    node = node_barrier(state.offset, alpha)
+    kinds = ("a", "b") if node == 0 else ("c", "d")
     c1, c2 = (coefficient(kind, n, alpha) for kind in kinds)
     return ChamberExpansion(
         geometry=geometry,
         n_trunc=n_trunc,
-        state_offset=float(state.offset),
+        node=node,
         norm_coeffs_1=math.sqrt(TWO_PI / geometry.width(1)) * c1,
         norm_coeffs_2=math.sqrt(TWO_PI / geometry.width(2)) * c2,
     )
@@ -448,31 +451,25 @@ class CoeffDiscrepancy:
 
 
 def sign_discrepancies(alpha: float, n_max: int, *, oracle=None) -> list[CoeffDiscrepancy]:
-    """Compare the uncorrected closed forms against the oracle for every kind and n.
+    """Compare the uncorrected closed form of kind d against the oracle for every n.
 
-    The uncorrected form of a kind is its adopted form times the kind's sign
-    (-1 for kind d, +1 otherwise). One record is returned per (kind, n) where
-    the oracle refutes the uncorrected form and confirms the adopted one:
-    |uncorrected - oracle| > |adopted| >= |adopted - oracle|. The rule is
-    relative to the coefficient. Kinds a, b and c, whose two forms are equal,
-    can never match it; kind d matches for every n wherever the oracle
-    resolves the coefficient (down to about alpha = 1e-13). ``oracle`` maps
-    each kind to its oracle values for n = 1..n_max when the caller has
+    Only kind d has an uncorrected form that differs from the adopted one (it
+    is the adopted form times -1), so only d is compared. One record is
+    returned per n where the oracle refutes the uncorrected form and confirms
+    the adopted one: |uncorrected - oracle| > |adopted| >= |adopted - oracle|.
+    The rule is relative to the coefficient; it matches every n wherever the
+    oracle resolves the coefficient (down to about alpha = 1e-13). ``oracle``
+    maps kind d to its oracle values for n = 1..n_max when the caller has
     already computed them; without it they come from ``oracle_coefficients``.
     """
     n_max = _check_truncation(n_max)
     if oracle is None:
         oracle = oracle_coefficients(alpha, n_max)
-    records = []
-    for kind in COEFF_KINDS:
-        adopted = coefficient(kind, np.arange(1, n_max + 1), alpha)
-        uncorrected = _KINDS[kind][3] * adopted
-        exact = np.asarray(oracle[kind])
-        flipped = ((np.abs(uncorrected - exact) > np.abs(adopted))
-                   & (np.abs(adopted) >= np.abs(adopted - exact)))
-        records.extend(
-            CoeffDiscrepancy(kind=kind, n=i + 1, alpha=float(alpha),
+    adopted = coefficient("d", np.arange(1, n_max + 1), alpha)
+    uncorrected, exact = -adopted, np.asarray(oracle["d"])
+    flipped = ((np.abs(uncorrected - exact) > np.abs(adopted))
+               & (np.abs(adopted) >= np.abs(adopted - exact)))
+    return [CoeffDiscrepancy(kind="d", n=i + 1, alpha=float(alpha),
                              uncorrected=float(uncorrected[i]), oracle=float(exact[i]),
                              adopted=float(adopted[i]))
-            for i in np.flatnonzero(flipped).tolist())
-    return records
+            for i in np.flatnonzero(flipped).tolist()]

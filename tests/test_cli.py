@@ -312,6 +312,22 @@ def test_alpha_below_float64_range_exits_2(argv, alpha, capsys):
     assert f"alpha={float(alpha)!r} is too small for float64" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cost", "--alpha-sweep", "0.5:3.0:5"],
+    ["energy", "--alpha", "3.0"],
+], ids=["cost", "energy"])
+def test_out_of_range_alpha_exits_2_before_any_row(argv, capsys, monkeypatch):
+    # the alphas are checked before the sweep is built, not row by row
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was computed for an out-of-range alpha")
+    monkeypatch.setattr(cli, "post_insertion_cost", refuse)
+    monkeypatch.setattr(cli, "delta_energy", refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "3.0" in err
+
+
 def test_tiny_alpha_candidates_stay_distinct(capsys):
     # below 1e-12 the shifted candidate was once taken for the reference
     code, out, _ = run_cli(["cost", "--alpha", "1e-13", "--n-trunc", "100"], capsys)
@@ -385,7 +401,9 @@ def test_writers_match_csv_and_json_modules(n_rows):
                              (cli._write_json, reference_json)):
         stream = io.StringIO()
         write(header, table, stream)
-        assert stream.getvalue() == reference(header, rows)
+        # lines, so that a failure names the first one that differs and its
+        # report does not diff two strings of up to a megabyte
+        assert stream.getvalue().split("\n") == reference(header, rows).split("\n")
 
 
 def constant_block_table(n_rows, varying):

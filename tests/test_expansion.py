@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ringsplit import (ChamberGeometry, coefficient, delta_energy,
-                       expand, oracle_coefficient, reference_state, ring_state,
+                       expand, oracle_coefficient, oracle_coefficients,
+                       reference_state, ring_state,
                        shifted_state, sign_discrepancies,
                        single_barrier_coefficients, single_well_projection,
                        truncation_sums)
@@ -133,18 +134,25 @@ def test_coefficient_rejects_bad_inputs():
 
 # ---------------------------------------------------------------- oracle sign log
 
-def test_sign_discrepancies_enumerate_kind_d_only():
-    records = sign_discrepancies(PI4, 8)
+@pytest.mark.parametrize("alpha", [1e-6, 0.3, PI4, 1.3, math.pi / 2])
+def test_sign_discrepancies_enumerate_kind_d_only(alpha):
+    records = sign_discrepancies(alpha, 16)
     assert {r.kind for r in records} == {"d"}
-    assert [r.n for r in records] == list(range(1, 9))
+    assert [r.n for r in records] == list(range(1, 17))
     for r in records:
         assert abs(r.adopted - r.oracle) < 1e-10
         assert r.uncorrected == -r.adopted
-        assert r.adopted == coefficient("d", r.n, PI4)
-    # oracle values computed elsewhere give the same records
-    oracle = {kind: [oracle_coefficient(kind, n, PI4) for n in range(1, 9)]
+        assert r.adopted == coefficient("d", r.n, alpha)
+    # the single and batched oracle routes agree bit for bit: for n <= 16
+    # both integrate with the same 4-panel rule
+    batched = oracle_coefficients(alpha, 16)
+    single = {kind: [oracle_coefficient(kind, n, alpha) for n in range(1, 17)]
               for kind in "abcd"}
-    assert sign_discrepancies(PI4, 8, oracle=oracle) == records
+    for kind in "abcd":
+        assert single[kind] == batched[kind].tolist(), kind
+    # oracle values computed elsewhere give the same records, and only kind d is read
+    assert sign_discrepancies(alpha, 16, oracle=single) == records
+    assert sign_discrepancies(alpha, 16, oracle={"d": single["d"]}) == records
 
 
 @pytest.mark.parametrize("alpha", [1e-13, 1e-12, 1e-9, 1e-6, 0.3, PI4, 1.5, math.pi / 2])
