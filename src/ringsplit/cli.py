@@ -12,6 +12,7 @@ same argparse types and choices as the flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -513,29 +514,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    flags = parser.parse_args(argv)
+    """Run one subcommand and return its exit status (0, 1, 2, 74 or 141).
+
+    With ``argv=None`` the arguments come from ``sys.argv``: ``main`` is running
+    as the program (``python -m ringsplit.cli`` or the ``ringsplit`` script), and
+    on every way out, argparse's ``SystemExit`` included, it moves the heap to
+    the collector's permanent generation (``gc.freeze()``). Every other exit
+    step still runs: there is no ``os._exit``, so ``atexit`` handlers and the
+    final flush of stdout keep their work. A caller that passes ``argv`` keeps
+    its garbage collection as it was.
+    """
     try:
-        _apply_config(parser, flags)
-        args = parser.parse_args(argv)
-        header, rows = args.run(args)
-        _emit(header, rows, args)
-    except BrokenPipeError:
-        # the reader of stdout went away: point stdout at devnull so that the
-        # flush at exit raises nothing, and exit as a SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
-    except ConvergenceError as exc:
-        print(f"ringsplit: quadrature failed to converge: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"ringsplit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # reading the config raises ValueError, so this is a failed write
-        print(f"ringsplit: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    return 0
+        parser = build_parser()
+        flags = parser.parse_args(argv)
+        try:
+            _apply_config(parser, flags)
+            args = parser.parse_args(argv)
+            header, rows = args.run(args)
+            _emit(header, rows, args)
+        except BrokenPipeError:
+            # the reader of stdout went away: point stdout at devnull so that the
+            # flush at exit raises nothing, and exit as a SIGPIPE would
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
+        except ConvergenceError as exc:
+            print(f"ringsplit: quadrature failed to converge: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print(f"ringsplit: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            # reading the config raises ValueError, so this is a failed write
+            print(f"ringsplit: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_IO_ERROR
+        return 0
+    finally:
+        if argv is None:
+            # the process ends here: teardown would otherwise run the cyclic
+            # collector over numpy's import-time object graph, one cycle at a time
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 class ConvergenceError(RuntimeError):
@@ -39,7 +38,9 @@ BLOCK_ELEMENTS = 1 << 14
 
 @lru_cache(maxsize=1)
 def _gauss_rule():
-    # built on first use, not at import: leggauss(64) takes over a millisecond
+    # built on first use, not at import: leggauss(64) takes over a millisecond,
+    # and importing numpy.polynomial loads all of its modules (2-4 ms)
+    from numpy.polynomial.legendre import leggauss
     return leggauss(ORDER)
 
 

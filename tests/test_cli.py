@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.util
 import io
 import json
@@ -123,6 +124,94 @@ def test_cli_import_leaves_out_process_pool():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_oracle_import_stays_deferred():
+    # numpy.polynomial loads all of its modules; only the oracle needs leggauss
+    probe = (
+        "import sys, numpy as np, ringsplit.cli\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+        "from ringsplit.expansion import COEFF_KINDS, coefficient, oracle_coefficients\n"
+        "oracle = oracle_coefficients(0.7, 4)\n"
+        "for kind in COEFF_KINDS:\n"
+        "    assert np.allclose(oracle[kind], coefficient(kind, np.arange(1, 5), 0.7),\n"
+        "                       rtol=0, atol=1e-12), kind\n"
+        "print('numpy.polynomial' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
+
+
+def test_program_mode_writes_the_bytes_of_main(tmp_path, capsys):
+    # `python -m ringsplit.cli` freezes the heap on its way out; the tables it
+    # writes must be those of an in-process call
+    argv = ["energy", "--alpha-sweep", "0.3:1.5:2", "--nm-max", "70"]
+    child = [sys.executable, "-m", "ringsplit.cli", *argv]
+    env = subprocess_env()
+    printed = subprocess.run(child, env=env, capture_output=True, timeout=60)
+    assert (printed.returncode, printed.stderr) == (0, b"")
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert printed.stdout.split(b"\n") == expected.split(b"\n")
+
+    child_out, own_out = tmp_path / "child.json", tmp_path / "own.json"
+    json_flags = ["--format", "json", "--out"]
+    written = subprocess.run(child + json_flags + [str(child_out)], env=env,
+                             capture_output=True, timeout=60)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert main(argv + json_flags + [str(own_out)]) == 0
+    assert child_out.read_bytes().split(b"\n") == own_out.read_bytes().split(b"\n")
+
+
+def test_program_mode_usage_error_exits_2(capsys, monkeypatch):
+    argv = ["cost", "--no-such-flag"]
+    # one width for argparse's usage line in both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(subprocess_env(), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "ringsplit.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == capsys.readouterr().err
+    assert proc.stderr.endswith("ringsplit: error: unrecognized arguments: --no-such-flag\n")
+
+
+def _fail_to_converge(*args, **kwargs):
+    raise cli.ConvergenceError("no convergence", 1.0)
+
+
+def _exit_status(*argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["cost", "--n-trunc", "10"], 0),
+    (["cost", "--n-trunc", "10"], 1),
+    (["cost", "--alpha", "3.0"], 2),
+    (["cost", "--no-such-flag"], 2),
+    (["cost", "--n-trunc", "10", "--out", "."], 74),
+], ids=["ok", "convergence", "value", "usage", "write"])
+def test_heap_is_frozen_only_in_program_mode(argv, code, capsys, monkeypatch):
+    # a freeze on every call would stop the collector in any process that
+    # calls main more than once (pytest, `perfbench/run.py --trace 1`)
+    if code == 1:
+        monkeypatch.setattr(cli, "post_insertion_cost", _fail_to_converge)
+    before = gc.get_freeze_count()
+    assert _exit_status(argv) == code
+    assert gc.get_freeze_count() == before
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+    monkeypatch.setattr(sys, "argv", ["ringsplit", *argv])
+    assert _exit_status() == code
+    assert freezes == [True]
+    capsys.readouterr()
 
 
 def test_cost_json_mirrors_csv_fields(capsys):
