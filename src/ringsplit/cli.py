@@ -12,6 +12,7 @@ same argparse types and choices as the flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import itertools
 import json
@@ -21,12 +22,13 @@ import sys
 
 import numpy as np
 
-from .discrimination import BarrierModel, post_insertion_cost
+from .discrimination import BarrierModel, DiscriminationReport, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
 # oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
 from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, ChamberGeometry,  # noqa: F401
-                        coefficient, delta_energy, expand, oracle_coefficient, oracle_coefficients,
-                        sign_discrepancies, truncation_sums)
+                        CoeffDiscrepancy, coefficient, delta_energy, expand,
+                        oracle_coefficient, oracle_coefficients, sign_discrepancies,
+                        truncation_sums)
 from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
 
@@ -72,11 +74,16 @@ class Table:
         return len(self.columns[0])
 
 
-def _column(values: list):
-    """One column from per-row values: str cells stay a list, which shares
-    each string, and numbers become an array of their common dtype."""
-    array = np.array(values)
-    return values if array.dtype.kind == "U" else array
+def _records(record_type, records) -> tuple[list[str], Table]:
+    """A table of dataclass records, one column per field of ``record_type``
+    in field order. A column whose first value is a str stays a list, which
+    shares each string; any other becomes a numpy array."""
+    header = [field.name for field in dataclasses.fields(record_type)]
+
+    def column(name):
+        values = [getattr(record, name) for record in records]
+        return values if values and isinstance(values[0], str) else np.array(values)
+    return header, Table(*map(column, header))
 
 
 def _holds_one_value(col) -> bool:
@@ -253,6 +260,13 @@ def _config_value(action: argparse.Action, key: str, value):
     if action.choices is not None and converted not in action.choices:
         raise ValueError(f"config key {key!r}: {json.dumps(value)} is not one of "
                          f"{', '.join(action.choices)}")
+    if key == "alpha_sweep":
+        # checked here so that the error names the key; the value stays the
+        # text that _alphas parses, as a flag's does
+        try:
+            _parse_sweep(converted)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return converted
 
 
@@ -292,34 +306,19 @@ def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) ->
 
 # ---------------------------------------------------------------- cost
 
-COST_HEADER = [
-    "alpha", "epsilon", "n_trunc", "prior",
-    "overlap_before", "cost_before", "overlap_after", "cost_after",
-    "deficit_reference", "deficit_shifted", "sum_rule_overlap", "note",
-]
-
-
 def run_cost(args: argparse.Namespace):
     bm = BarrierModel(args.epsilon)
     alphas = _alphas(args, 1, "--alpha-sweep count")
-    # each header name is a DiscriminationReport field
     reports = [post_insertion_cost(alpha, args.n_trunc, bm) for alpha in alphas]
-    return COST_HEADER, Table(*(_column([getattr(r, key) for r in reports])
-                                for key in COST_HEADER))
+    return _records(DiscriminationReport, reports)
 
 
 # ---------------------------------------------------------------- coeffs
 
-COEFF_HEADER = [
-    "alpha", "n",
-    "a", "b", "c", "d",
-    "norm_a", "norm_b", "norm_c", "norm_d",
-    "oracle_a", "oracle_b", "oracle_c", "oracle_d",
-    "abs_diff_a", "abs_diff_b", "abs_diff_c", "abs_diff_d",
-    "deficit_reference", "deficit_shifted",
-]
-
-DISCREPANCY_HEADER = ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
+COEFF_HEADER = ["alpha", "n", *COEFF_KINDS,
+                *(f"{column}_{kind}" for column in ("norm", "oracle", "abs_diff")
+                  for kind in COEFF_KINDS),
+                "deficit_reference", "deficit_shifted"]
 
 
 def _concatenate(parts: list) -> Table:
@@ -352,10 +351,8 @@ def run_coeffs(args: argparse.Namespace):
                       deficit, deficit])
         discrepancies.extend(sign_discrepancies(alpha, n_trunc, oracle=oracle))
     if args.discrepancies is not None:
-        log = Table(*(_column([getattr(rec, key) for rec in discrepancies])
-                      for key in DISCREPANCY_HEADER))
         with open(args.discrepancies, "w", newline="") as fh:
-            _write_csv(DISCREPANCY_HEADER, log, fh)
+            _write_csv(*_records(CoeffDiscrepancy, discrepancies), fh)
     elif discrepancies:
         print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
@@ -370,12 +367,12 @@ def run_energy(args: argparse.Namespace):
         raise ValueError("--nm-max must be >= 1")
     alphas = _alphas(args, nm_max**2, "--alpha-sweep count x --nm-max squared")
     both = args.variant == "both"
-    header = ["alpha", "n", "m"] + (["delta_e_nominal", "delta_e_conserving",
-                                     "variant_difference"] if both else ["delta_e"])
+    variants = DELTA_E_VARIANTS if both else (args.variant,)
+    header = ["alpha", "n", "m"] + ([f"delta_e_{v}" for v in variants] + ["variant_difference"]
+                                    if both else ["delta_e"])
     idx = np.arange(1, nm_max + 1)
     # (n, m) flattened with n outer and m inner
     n, m = np.repeat(idx, nm_max), np.tile(idx, nm_max)
-    variants = DELTA_E_VARIANTS if both else (args.variant,)
     parts = []
     for alpha in alphas:
         values = [delta_energy(idx[:, None], idx, alpha, variant=v).ravel() for v in variants]

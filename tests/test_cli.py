@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import ringsplit
 from ringsplit import cli
 from ringsplit.cli import main
+from ringsplit.discrimination import BarrierModel, post_insertion_cost
 
 PI4 = repr(math.pi / 4)
 
@@ -86,10 +88,31 @@ def test_cost_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def _digest_tool():
-    """tools/cli_digests.py, imported by path (tools/ is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
-    spec = importlib.util.spec_from_file_location("cli_digests", path)
+def test_str_column_is_not_copied_into_an_array(tmp_path, monkeypatch):
+    # at eps > 0 every row carries the same long note; the note column must
+    # share that one string, so the run's peak does not grow with its length
+    peaks, notes = {}, {}
+    for eps in ("0", "0.5"):
+        report = post_insertion_cost(0.7, 1000, BarrierModel(float(eps)))
+        notes[eps] = report.note
+        # one real report for every alpha, so that the run does no per-alpha work
+        monkeypatch.setattr(cli, "post_insertion_cost", lambda *args, report=report: report)
+        tracemalloc.start()
+        try:
+            assert main(["cost", "--alpha-sweep", "0.1:1.5:20000", "--epsilon", eps,
+                         "--out", str(tmp_path / "cost.csv")]) == 0
+            peaks[eps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert notes["0"] == "" and len(notes["0.5"]) > 100
+    assert abs(peaks["0.5"] - peaks["0"]) < 2**20
+
+
+def _load_by_path(*parts):
+    """A script of the checkout, imported by path (tools/ and perfbench/ are
+    not packages)."""
+    path = Path(__file__).resolve().parent.parent.joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -98,7 +121,7 @@ def _digest_tool():
 def test_tables_match_checked_in_digests(tmp_path, capsys, monkeypatch):
     # every run of tools/cli_digests.py, in-process; a change that moves the
     # bytes on purpose regenerates tools/cli_digests.sha256
-    tool = _digest_tool()
+    tool = _load_by_path("tools", "cli_digests.py")
     monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
     lines = []
     for argv, files in tool.invocations(tmp_path):
@@ -116,6 +139,18 @@ def subprocess_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("RINGSPLIT_CONFIG", None)
     return env
+
+
+def test_benchmark_patch_points_exist():
+    # perfbench/spans.py replaces these names by string to trace a run; each
+    # must stay a callable attribute of its module, imported there or not
+    spans = _load_by_path("perfbench", "spans.py")
+    pairs = [span[:2] for span in spans.SPANS] + list(spans.RING_CALLS)
+    assert pairs
+    missing = [(module, name) for module, name in pairs
+               if not callable(getattr(importlib.import_module(f"ringsplit.{module}"),
+                                       name, None))]
+    assert missing == []
 
 
 def test_cli_import_leaves_out_process_pool():
@@ -285,6 +320,14 @@ def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypa
     assert code == 0
     # one batched oracle per alpha, covering every kind and n
     assert calls == [(0.25, 7), (0.75, 7), (1.25, 7)]
+
+
+def test_empty_sign_log_keeps_its_header(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sign_discrepancies", lambda *args, **kwargs: [])
+    disc = tmp_path / "disc.csv"
+    code, _, _ = run_cli(["coeffs", "--n-trunc", "3", "--discrepancies", str(disc)], capsys)
+    assert code == 0
+    assert disc.read_text() == "kind,n,alpha,uncorrected,oracle,adopted\n"
 
 
 def test_coeffs_reports_every_sign_correction_at_tiny_alpha(capsys):
@@ -652,6 +695,21 @@ def test_failed_write_to_stdout_exits_74():
     assert proc.stderr.startswith(b"ringsplit: cannot write output: [Errno 28]")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["cost", "--alpha-sweep", "0.1:1.0:0"], "sweep count must be >= 1"),
+    (["cost", "--config", "{config}"], "config file {config!r} must contain a JSON object"),
+    (["energy", "--nm-max", "0"], "--nm-max must be >= 1"),
+    (["evolve", "--grid-points", "1"], "--grid-points must be >= 2"),
+], ids=["sweep-count", "config-not-object", "nm-max", "grid-points"])
+def test_invalid_setting_exits_2_with_its_message(argv, message, tmp_path, capsys):
+    config = str(tmp_path / "config.json")
+    Path(config).write_text("[1, 2]")
+    code, out, err = run_cli([arg.format(config=config) for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"ringsplit: {message.format(config=config)}\n"
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     code, out, err = run_cli(["cost", "--config", str(missing)], capsys)
@@ -685,7 +743,8 @@ def test_config_path_from_environment(tmp_path, capsys, monkeypatch):
 
 
 #: key -> (command line, bad value): a misspelt key, the removed jobs key, a
-#: bool for a number, a fraction for an int and a value outside the choices
+#: bool for a number, a fraction for an int, a value outside the choices and a
+#: sweep that is not START:STOP:COUNT
 BAD_CONFIGS = {
     "n_truc": (["cost", "--n-trunc", "10"], 5),
     "jobs": (["cost", "--n-trunc", "10"], 2),
@@ -693,6 +752,7 @@ BAD_CONFIGS = {
     "nm_max": (["energy", "--nm-max", "3"], 2.7),
     "candidate": (["evolve", "--n-trunc", "10", "--grid-points", "3",
                    "--time-fracs", "0"], "refrence"),
+    "alpha_sweep": (["cost", "--n-trunc", "10"], "nonsense"),
 }
 
 
