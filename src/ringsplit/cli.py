@@ -74,16 +74,24 @@ class Table:
         return len(self.columns[0])
 
 
-def _records(record_type, records) -> tuple[list[str], Table]:
-    """A table of dataclass records, one column per field of ``record_type``
-    in field order. A column whose first value is a str stays a list, which
-    shares each string; any other becomes a numpy array."""
-    header = [field.name for field in dataclasses.fields(record_type)]
+def _table(parts: list[dict]) -> tuple[list[str], Table]:
+    """A table's header and columns from its parts, mappings of column name to
+    column (one per alpha, or per chamber and time): the header is the first
+    part's names, and several parts are joined name by name, in that order."""
+    header = list(parts[0])
+    if len(parts) == 1:
+        return header, Table(*parts[0].values())  # np.concatenate would copy every column
+    return header, Table(*(np.concatenate([part[name] for part in parts]) for name in header))
 
+
+def _records(record_type, records) -> dict:
+    """The columns of dataclass records, by field name of ``record_type`` in
+    field order. A column whose first value is a str stays a list, which
+    shares each string; any other becomes a numpy array."""
     def column(name):
         values = [getattr(record, name) for record in records]
         return values if values and isinstance(values[0], str) else np.array(values)
-    return header, Table(*map(column, header))
+    return {field.name: column(field.name) for field in dataclasses.fields(record_type)}
 
 
 def _holds_one_value(col) -> bool:
@@ -310,23 +318,10 @@ def run_cost(args: argparse.Namespace):
     bm = BarrierModel(args.epsilon)
     alphas = _alphas(args, 1, "--alpha-sweep count")
     reports = [post_insertion_cost(alpha, args.n_trunc, bm) for alpha in alphas]
-    return _records(DiscriminationReport, reports)
+    return _table([_records(DiscriminationReport, reports)])
 
 
 # ---------------------------------------------------------------- coeffs
-
-COEFF_HEADER = ["alpha", "n", *COEFF_KINDS,
-                *(f"{column}_{kind}" for column in ("norm", "oracle", "abs_diff")
-                  for kind in COEFF_KINDS),
-                "deficit_reference", "deficit_shifted"]
-
-
-def _concatenate(parts: list) -> Table:
-    """One table from per-alpha lists of equally long columns."""
-    if len(parts) == 1:
-        return Table(*parts[0])  # np.concatenate would copy every column
-    return Table(*(np.concatenate(cols) for cols in zip(*parts)))
-
 
 def run_coeffs(args: argparse.Namespace):
     n_trunc = args.n_trunc
@@ -342,21 +337,24 @@ def run_coeffs(args: argparse.Namespace):
         deficit = np.full(n_trunc, truncation_sums(alpha, n_trunc).deficit)
         # one batched quadrature per chamber, shared by the table and the sign check
         oracle = oracle_coefficients(alpha, n_trunc)
-        closed = [coefficient(kind, modes, alpha) for kind in COEFF_KINDS]
-        normalized = [exp_ref.norm_coeffs_1, exp_ref.norm_coeffs_2,
-                      exp_sh.norm_coeffs_1, exp_sh.norm_coeffs_2]
-        exact = [oracle[kind] for kind in COEFF_KINDS]
-        diffs = [np.abs(cv - ov) for cv, ov in zip(closed, exact)]
-        parts.append([np.full(n_trunc, alpha), modes, *closed, *normalized, *exact, *diffs,
-                      deficit, deficit])
+        closed = {kind: coefficient(kind, modes, alpha) for kind in COEFF_KINDS}
+        normalized = (exp_ref.norm_coeffs_1, exp_ref.norm_coeffs_2,
+                      exp_sh.norm_coeffs_1, exp_sh.norm_coeffs_2)
+        parts.append({
+            "alpha": np.full(n_trunc, alpha), "n": modes, **closed,
+            **{f"norm_{kind}": col for kind, col in zip(COEFF_KINDS, normalized)},
+            **{f"oracle_{kind}": oracle[kind] for kind in COEFF_KINDS},
+            **{f"abs_diff_{kind}": np.abs(closed[kind] - oracle[kind]) for kind in COEFF_KINDS},
+            "deficit_reference": deficit, "deficit_shifted": deficit,
+        })
         discrepancies.extend(sign_discrepancies(alpha, n_trunc, oracle=oracle))
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
-            _write_csv(*_records(CoeffDiscrepancy, discrepancies), fh)
+            _write_csv(*_table([_records(CoeffDiscrepancy, discrepancies)]), fh)
     elif discrepancies:
         print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
-    return COEFF_HEADER, _concatenate(parts)
+    return _table(parts)
 
 
 # ---------------------------------------------------------------- energy
@@ -368,24 +366,21 @@ def run_energy(args: argparse.Namespace):
     alphas = _alphas(args, nm_max**2, "--alpha-sweep count x --nm-max squared")
     both = args.variant == "both"
     variants = DELTA_E_VARIANTS if both else (args.variant,)
-    header = ["alpha", "n", "m"] + ([f"delta_e_{v}" for v in variants] + ["variant_difference"]
-                                    if both else ["delta_e"])
     idx = np.arange(1, nm_max + 1)
     # (n, m) flattened with n outer and m inner
     n, m = np.repeat(idx, nm_max), np.tile(idx, nm_max)
     parts = []
     for alpha in alphas:
         values = [delta_energy(idx[:, None], idx, alpha, variant=v).ravel() for v in variants]
+        columns = {f"delta_e_{v}" if both else "delta_e": col
+                   for v, col in zip(variants, values)}
         if both:
-            values.append(values[0] - values[1])
-        parts.append([np.full(nm_max**2, alpha), n, m, *values])
-    return header, _concatenate(parts)
+            columns["variant_difference"] = values[0] - values[1]
+        parts.append({"alpha": np.full(nm_max**2, alpha), "n": n, "m": m, **columns})
+    return _table(parts)
 
 
 # ---------------------------------------------------------------- evolve
-
-EVOLVE_HEADER = ["theta", "density", "t", "chamber"]
-
 
 def run_evolve(args: argparse.Namespace):
     if args.grid_points < 2:
@@ -407,33 +402,33 @@ def run_evolve(args: argparse.Namespace):
         period = revival_period(expansion.geometry.width(chamber))
         for t in args.times or [f * period for f in fracs]:
             density = sample_density(evolve(expansion, chamber, t), grid)
-            parts.append([grid, density, np.full(grid.size, t),
-                          np.full(grid.size, chamber)])
-    return EVOLVE_HEADER, _concatenate(parts)
+            parts.append({"theta": grid, "density": density, "t": np.full(grid.size, t),
+                          "chamber": np.full(grid.size, chamber)})
+    return _table(parts)
 
 
 # ---------------------------------------------------------------- parseval
 
-PARSEVAL_HEADER = [
-    "alpha", "n_trunc",
-    "deficit_reference", "deficit_shifted",
-    "completeness_reference", "completeness_shifted",
-    "sum_rule_overlap", "ring_overlap", "sum_rule_abs_error",
-]
-
-
 def run_parseval(args: argparse.Namespace):
-    alphas = _alphas(args, len(args.n_trunc), "--alpha-sweep count x --n-trunc count")
-    rows = []
+    count = len(args.n_trunc)
+    alphas = _alphas(args, count, "--alpha-sweep count x --n-trunc count")
+    n_truncs = np.array(args.n_trunc)  # an object array for ints beyond int64
+    parts = []
     for alpha in alphas:
         target = ring_overlap(reference_state(), shifted_state(alpha))
-        for n_trunc in args.n_trunc:
-            # both candidates have the same coefficient magnitudes, so the same sums
-            sums = truncation_sums(alpha, n_trunc)
-            rows.append([alpha, n_trunc, sums.deficit, sums.deficit,
-                         sums.completeness, sums.completeness,
-                         sums.sum_rule, target, abs(sums.sum_rule - target)])
-    return PARSEVAL_HEADER, Table(*(np.array(col) for col in zip(*rows)))
+        # both candidates have the same coefficient magnitudes, so the same sums
+        sums = [truncation_sums(alpha, n_trunc) for n_trunc in args.n_trunc]
+        deficit = np.array([s.deficit for s in sums])
+        completeness = np.array([s.completeness for s in sums])
+        sum_rule = np.array([s.sum_rule for s in sums])
+        parts.append({
+            "alpha": np.full(count, alpha), "n_trunc": n_truncs,
+            "deficit_reference": deficit, "deficit_shifted": deficit,
+            "completeness_reference": completeness, "completeness_shifted": completeness,
+            "sum_rule_overlap": sum_rule, "ring_overlap": np.full(count, target),
+            "sum_rule_abs_error": np.abs(sum_rule - target),
+        })
+    return _table(parts)
 
 
 # ---------------------------------------------------------------- parser

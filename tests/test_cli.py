@@ -17,6 +17,7 @@ import ringsplit
 from ringsplit import cli
 from ringsplit.cli import main
 from ringsplit.discrimination import BarrierModel, post_insertion_cost
+from ringsplit.expansion import CoeffDiscrepancy
 
 PI4 = repr(math.pi / 4)
 
@@ -578,6 +579,28 @@ def test_csv_string_cell_needing_quotes_is_refused(cell):
     table = cli.Table(np.array([1.0, 2.0]), ["plain", cell])
     with pytest.raises(AssertionError, match="CSV string cell"):
         cli._write_csv(["x", "s"], table, io.StringIO())
+
+
+def test_table_of_one_part_keeps_its_columns():
+    part = {"x": np.arange(3.0), "word": ["a", "b", "c"], "k": np.arange(3)}
+    header, table = cli._table([part])
+    assert header == ["x", "word", "k"]
+    # np.concatenate would copy each column
+    assert all(col is part[name] for name, col in zip(header, table.columns))
+
+
+def test_table_joins_parts_by_name_in_the_first_parts_order():
+    first = {"b": np.array([1.0]), "a": np.array([2])}
+    second = {"a": np.array([3, 4]), "b": np.array([5.0, 6.0])}
+    header, table = cli._table([first, second])
+    assert header == ["b", "a"]
+    assert [col.tolist() for col in table.columns] == [[1.0, 5.0, 6.0], [2, 3, 4]]
+
+
+def test_empty_record_table_keeps_every_field_name():
+    header, table = cli._table([cli._records(CoeffDiscrepancy, [])])
+    assert header == ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
+    assert len(table) == 0
 
 
 @pytest.mark.parametrize("argv", [

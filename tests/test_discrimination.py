@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ringsplit import (BarrierModel, build_extended, expand, extended_overlap,
-                       helstrom_cost, helstrom_oracle, post_insertion_cost,
-                       reference_state, shifted_state)
+from ringsplit import (BarrierModel, ChamberExpansion, ChamberGeometry, build_extended,
+                       coefficient, expand, extended_overlap, helstrom_cost,
+                       helstrom_oracle, post_insertion_cost, reference_state,
+                       shifted_state)
+from ringsplit.quadrature import project_modes
 
 PI4 = math.pi / 4
 
@@ -248,3 +250,19 @@ def test_tensor_model_flagged_against_single_particle_overlap():
     assert r.note != ""
     assert abs(r.overlap_after - math.cos(PI4) ** 2) > 0.3
     assert abs(r.sum_rule_overlap - math.cos(PI4)) < 10 * r.deficit_reference
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: build_extended(ChamberExpansion(ChamberGeometry(0.7), 3, 0, np.zeros(3),
+                                             np.ones(3))),
+     "empty expansion: the chamber-1 weight underflowed to 0 at alpha=0.7"),
+    (lambda: helstrom_oracle(-0.1), "alpha must lie in [0, pi/2]"),
+    (lambda: helstrom_oracle(math.nan), "alpha must lie in [0, pi/2]"),
+    (lambda: coefficient("a", 1.5, 0.7), "mode index must be integral"),
+    (lambda: project_modes([np.sin], 1.0, 1.0, [1]), "empty integration interval"),
+], ids=["underflowed-chamber", "negative-alpha", "nan-alpha", "fractional-mode",
+        "empty-interval"])
+def test_library_rejects_invalid_input_naming_the_cause(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(message)

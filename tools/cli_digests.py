@@ -58,6 +58,9 @@ RUNS = {
     "energy-straddle": ["energy", "--alpha-sweep", "0.3:1.5:2", "--nm-max", "70"],
     "evolve-straddle": ["evolve", "--alpha", "0.7", "--n-trunc", "300", "--grid-points",
                         "1000", "--time-fracs", "0,0.5,1"],
+    # an --n-trunc beyond int64, so the n_trunc column is an object array of ints
+    "parseval-bigint": ["parseval", "--alpha-sweep", "0.3:1.5:2", "--n-trunc",
+                        "100,100000000000000000000"],
 }
 
 
