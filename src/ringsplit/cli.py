@@ -60,28 +60,36 @@ DEFAULT_TIME_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class Table:
-    """A table's columns in header order; ``len()`` is its number of rows.
+    """A table as the parts it was computed in: mappings of column name to
+    column, one per alpha, or per chamber and time. ``header`` is the first
+    part's names, each part's columns are held by those names, uncopied, and
+    ``len()`` is the number of rows.
 
     A column is a 1-D numpy array of floats or of ints (an object array for
     ints beyond int64), or a list of str.
     """
 
-    def __init__(self, *columns) -> None:
-        assert len({len(col) for col in columns}) == 1, "columns differ in length"
-        self.columns = columns
+    def __init__(self, parts: list[dict]) -> None:
+        self.header = list(parts[0])
+        self.parts = [[part[name] for name in self.header] for part in parts]
+        assert len(set(map(len, itertools.chain(*self.parts)))) == 1, "columns differ in length"
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.parts) * len(self.parts[0][0])
 
-
-def _table(parts: list[dict]) -> tuple[list[str], Table]:
-    """A table's header and columns from its parts, mappings of column name to
-    column (one per alpha, or per chamber and time): the header is the first
-    part's names, and several parts are joined name by name, in that order."""
-    header = list(parts[0])
-    if len(parts) == 1:
-        return header, Table(*parts[0].values())  # np.concatenate would copy every column
-    return header, Table(*(np.concatenate([part[name] for part in parts]) for name in header))
+    def blocks(self):
+        """The columns of at most BLOCK_ROWS rows at a time, in row order. A
+        part of BLOCK_ROWS rows or more is sliced; smaller ones are joined as
+        many as fill one block, so no join copies more than one block."""
+        group = max(1, BLOCK_ROWS // max(len(self.parts[0][0]), 1))
+        for first in range(0, len(self.parts), group):
+            parts = self.parts[first:first + group]
+            columns = parts[0] if len(parts) == 1 else [
+                [cell for col in cols for cell in col] if isinstance(cols[0], list)
+                else np.concatenate(cols)
+                for cols in zip(*parts)]
+            for start in range(0, len(columns[0]), BLOCK_ROWS):
+                yield [col[start:start + BLOCK_ROWS] for col in columns]
 
 
 def _records(record_type, records) -> dict:
@@ -103,21 +111,21 @@ def _holds_one_value(col) -> bool:
     return col.tobytes() == col[:1].tobytes() * len(col)
 
 
-def _write_rows(stream, row_format, formats, table: Table, sep: str) -> None:
+def _write_rows(stream, row_format, column_format, table: Table, sep: str) -> None:
     """Write every row of ``table``, with ``sep`` between rows.
 
-    ``formats`` holds each column's %-format, and ``row_format(cells)`` is the
+    ``column_format(col)`` gives a column's block as its %-format and the
+    block in the form that format reads, and ``row_format(cells)`` is the
     format of a row whose columns take the texts or formats ``cells``. Each
-    block of BLOCK_ROWS rows is converted to Python values once per column
+    block of ``table.blocks()`` is converted to Python values once per column
     (``tolist``). A numeric column that holds one value over the block has
     its cell formatted once, and that text, with ``%`` escaped, goes literally
     into the block's row format; the other columns fill each row. Rows go to
     the stream one by one, so no text of more than one row is held at once.
     """
-    for start in range(0, len(table), BLOCK_ROWS):
-        block = [col[start:start + BLOCK_ROWS] for col in table.columns]
+    for index, block in enumerate(table.blocks()):
         cells, varying = [], []
-        for fmt, col in zip(formats, block):
+        for fmt, col in map(column_format, block):
             if _holds_one_value(col):
                 cells.append((fmt % col[0].item()).replace("%", "%%"))
             else:
@@ -125,26 +133,26 @@ def _write_rows(stream, row_format, formats, table: Table, sep: str) -> None:
                 varying.append(col.tolist() if isinstance(col, np.ndarray) else col)
         rows = zip(*varying) if varying else itertools.repeat((), len(block[0]))
         block_format = row_format(cells)
-        if not start:
+        if not index:
             stream.write(block_format % next(rows))
         later = sep + block_format
         stream.writelines(later % row for row in rows)
 
 
-def _csv_format(col) -> str:
+def _csv_format(col):
+    """A column's CSV format, and the column."""
     if isinstance(col, list):
         # the writer does no quoting, so a cell must need none
         assert not any(ch in cell for cell in col for ch in ',"\r\n'), \
             "a CSV string cell holds a comma, a quote or a line break"
-        return "%s"
-    return "%.17g" if col.dtype.kind == "f" else "%d"
+        return "%s", col
+    return "%.17g" if col.dtype.kind == "f" else "%d", col
 
 
 def _write_csv(header, table: Table, stream) -> None:
     """CSV as ``csv.writer`` writes it, floats as ``format(x, ".17g")``."""
     stream.write(",".join(header) + "\n")
-    _write_rows(stream, lambda cells: ",".join(cells) + "\n",
-                [_csv_format(col) for col in table.columns], table, "")
+    _write_rows(stream, lambda cells: ",".join(cells) + "\n", _csv_format, table, "")
 
 
 def _json_column(col):
@@ -164,7 +172,6 @@ def _write_json(header, table: Table, stream) -> None:
     if not len(table):
         stream.write("[]\n")
         return
-    formats, columns = zip(*map(_json_column, table.columns))
     keys = [json.dumps(key) for key in header]
 
     def row_format(cells):
@@ -172,7 +179,7 @@ def _write_json(header, table: Table, stream) -> None:
             + "\n  }"
 
     stream.write("[\n")
-    _write_rows(stream, row_format, formats, Table(*columns), ",\n")
+    _write_rows(stream, row_format, _json_column, table, ",\n")
     stream.write("\n]\n")
 
 
@@ -318,7 +325,7 @@ def run_cost(args: argparse.Namespace):
     bm = BarrierModel(args.epsilon)
     alphas = _alphas(args, 1, "--alpha-sweep count")
     reports = [post_insertion_cost(alpha, args.n_trunc, bm) for alpha in alphas]
-    return _table([_records(DiscriminationReport, reports)])
+    return Table([_records(DiscriminationReport, reports)])
 
 
 # ---------------------------------------------------------------- coeffs
@@ -350,11 +357,12 @@ def run_coeffs(args: argparse.Namespace):
         discrepancies.extend(sign_discrepancies(alpha, n_trunc, oracle=oracle))
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
-            _write_csv(*_table([_records(CoeffDiscrepancy, discrepancies)]), fh)
+            log = Table([_records(CoeffDiscrepancy, discrepancies)])
+            _write_csv(log.header, log, fh)
     elif discrepancies:
         print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
-    return _table(parts)
+    return Table(parts)
 
 
 # ---------------------------------------------------------------- energy
@@ -377,7 +385,7 @@ def run_energy(args: argparse.Namespace):
         if both:
             columns["variant_difference"] = values[0] - values[1]
         parts.append({"alpha": np.full(nm_max**2, alpha), "n": n, "m": m, **columns})
-    return _table(parts)
+    return Table(parts)
 
 
 # ---------------------------------------------------------------- evolve
@@ -404,7 +412,7 @@ def run_evolve(args: argparse.Namespace):
             density = sample_density(evolve(expansion, chamber, t), grid)
             parts.append({"theta": grid, "density": density, "t": np.full(grid.size, t),
                           "chamber": np.full(grid.size, chamber)})
-    return _table(parts)
+    return Table(parts)
 
 
 # ---------------------------------------------------------------- parseval
@@ -412,23 +420,21 @@ def run_evolve(args: argparse.Namespace):
 def run_parseval(args: argparse.Namespace):
     count = len(args.n_trunc)
     alphas = _alphas(args, count, "--alpha-sweep count x --n-trunc count")
-    n_truncs = np.array(args.n_trunc)  # an object array for ints beyond int64
-    parts = []
-    for alpha in alphas:
-        target = ring_overlap(reference_state(), shifted_state(alpha))
-        # both candidates have the same coefficient magnitudes, so the same sums
-        sums = [truncation_sums(alpha, n_trunc) for n_trunc in args.n_trunc]
-        deficit = np.array([s.deficit for s in sums])
-        completeness = np.array([s.completeness for s in sums])
-        sum_rule = np.array([s.sum_rule for s in sums])
-        parts.append({
-            "alpha": np.full(count, alpha), "n_trunc": n_truncs,
-            "deficit_reference": deficit, "deficit_shifted": deficit,
-            "completeness_reference": completeness, "completeness_shifted": completeness,
-            "sum_rule_overlap": sum_rule, "ring_overlap": np.full(count, target),
-            "sum_rule_abs_error": np.abs(sum_rule - target),
-        })
-    return _table(parts)
+    # one part of alpha x truncation rows; both candidates have the same
+    # coefficient magnitudes, so the same sums
+    deficit, completeness, sum_rule = np.array([
+        (s.deficit, s.completeness, s.sum_rule) for s in
+        (truncation_sums(alpha, n_trunc) for alpha in alphas for n_trunc in args.n_trunc)]).T
+    target = np.repeat([ring_overlap(reference_state(), shifted_state(alpha))
+                        for alpha in alphas], count)
+    return Table([{
+        # np.tile makes an object array of ints beyond int64
+        "alpha": np.repeat(alphas, count), "n_trunc": np.tile(args.n_trunc, len(alphas)),
+        "deficit_reference": deficit, "deficit_shifted": deficit,
+        "completeness_reference": completeness, "completeness_shifted": completeness,
+        "sum_rule_overlap": sum_rule, "ring_overlap": target,
+        "sum_rule_abs_error": np.abs(sum_rule - target),
+    }])
 
 
 # ---------------------------------------------------------------- parser
@@ -522,8 +528,8 @@ def main(argv=None) -> int:
         try:
             _apply_config(parser, flags)
             args = parser.parse_args(argv)
-            header, rows = args.run(args)
-            _emit(header, rows, args)
+            table = args.run(args)
+            _emit(table.header, table, args)
         except BrokenPipeError:
             # the reader of stdout went away: point stdout at devnull so that the
             # flush at exit raises nothing, and exit as a SIGPIPE would

@@ -89,24 +89,49 @@ def test_cost_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_str_column_is_not_copied_into_an_array(tmp_path, monkeypatch):
+def traced_peak(argv) -> int:
+    """The tracemalloc peak, in bytes, of an in-process run that exits 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_str_column_is_not_copied_into_an_array(fmt, tmp_path, monkeypatch):
     # at eps > 0 every row carries the same long note; the note column must
-    # share that one string, so the run's peak does not grow with its length
+    # share that one string, and JSON must quote it a block at a time, so the
+    # run's peak does not grow with its length
     peaks, notes = {}, {}
     for eps in ("0", "0.5"):
         report = post_insertion_cost(0.7, 1000, BarrierModel(float(eps)))
         notes[eps] = report.note
         # one real report for every alpha, so that the run does no per-alpha work
         monkeypatch.setattr(cli, "post_insertion_cost", lambda *args, report=report: report)
-        tracemalloc.start()
-        try:
-            assert main(["cost", "--alpha-sweep", "0.1:1.5:20000", "--epsilon", eps,
-                         "--out", str(tmp_path / "cost.csv")]) == 0
-            peaks[eps] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[eps] = traced_peak(["cost", "--alpha-sweep", "0.1:1.5:20000", "--epsilon", eps,
+                                  "--format", fmt, "--out", str(tmp_path / f"cost.{fmt}")])
     assert notes["0"] == "" and len(notes["0.5"]) > 100
     assert abs(peaks["0.5"] - peaks["0"]) < 2**20
+
+
+def test_parts_are_not_joined_into_a_second_table(tmp_path, monkeypatch):
+    # ten 40 000-row energy parts: the run's peak stays near the parts' own
+    # bytes, where a joined copy of every column would double it
+    part_bytes = []
+    emit = cli._emit
+
+    def measured(header, table, args):
+        arrays = {id(col): col for part in table.parts for col in part}
+        part_bytes.append(sum(col.nbytes for col in arrays.values()))
+        emit(header, table, args)
+
+    monkeypatch.setattr(cli, "_emit", measured)
+    peak = traced_peak(["energy", "--alpha-sweep", "0.3:1.5:10", "--nm-max", "200",
+                        "--out", str(tmp_path / "energy.csv")])
+    assert part_bytes[0] > 12 * 2**20
+    assert peak < 1.25 * part_bytes[0]
 
 
 def _load_by_path(*parts):
@@ -430,6 +455,22 @@ def test_tiny_alpha_exits_2_with_the_cause(argv, cause, capsys):
     assert cause in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--alpha-sweep", "1.5:1e-160:3", "--nm-max", "2"],
+    ["evolve", "--times", "0,1e30", "--n-trunc", "10", "--grid-points", "3"],
+    ["coeffs", "--alpha-sweep", "1.5:1e-150:3", "--n-trunc", "2"],
+], ids=["energy", "evolve", "coeffs"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_failure_in_a_later_part_writes_no_rows(argv, to_file, tmp_path, capsys):
+    # the first part computes; a later one fails, and no row of the first is written
+    out = tmp_path / "table.csv"
+    code, stdout, err = run_cli([*argv, *(["--out", str(out)] if to_file else [])], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("ringsplit: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["5e-324", "1e-310", "1e-300"])
 @pytest.mark.parametrize("argv", [
     ["cost", "--n-trunc", "10"],
@@ -520,23 +561,31 @@ def synthetic_table(n_rows):
     ints = np.linspace(0, 10**12, n_rows).astype(np.int64)
     words = [("kind d", "tab\there", "\u00e9t\u00e9", "back\\slash")[i % 4]
              for i in range(n_rows)]
-    header = ["float", "int", "empty", "word", "nonfinite"]
-    columns = [floats, ints, [""] * n_rows, words, nonfinite]
-    rows = list(zip(*[col.tolist() if isinstance(col, np.ndarray) else col
-                      for col in columns]))
-    return header, cli.Table(*columns), rows
+    columns = {"float": floats, "int": ints, "empty": [""] * n_rows, "word": words,
+               "nonfinite": nonfinite}
+    return columns, table_rows(columns)
+
+
+def table_rows(columns):
+    """The rows of named columns, as Python values."""
+    return list(zip(*[col.tolist() if isinstance(col, np.ndarray) else col
+                      for col in columns.values()]))
+
+
+def assert_writers_match_references(table, rows):
+    for write, reference in ((cli._write_csv, reference_csv),
+                             (cli._write_json, reference_json)):
+        stream = io.StringIO()
+        write(table.header, table, stream)
+        # lines, so that a failure names the first one that differs and its
+        # report does not diff two strings of up to a megabyte
+        assert stream.getvalue().split("\n") == reference(table.header, rows).split("\n")
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, cli.BLOCK_ROWS, 2 * cli.BLOCK_ROWS + 5])
 def test_writers_match_csv_and_json_modules(n_rows):
-    header, table, rows = synthetic_table(n_rows)
-    for write, reference in ((cli._write_csv, reference_csv),
-                             (cli._write_json, reference_json)):
-        stream = io.StringIO()
-        write(header, table, stream)
-        # lines, so that a failure names the first one that differs and its
-        # report does not diff two strings of up to a megabyte
-        assert stream.getvalue().split("\n") == reference(header, rows).split("\n")
+    columns, rows = synthetic_table(n_rows)
+    assert_writers_match_references(cli.Table([columns]), rows)
 
 
 def constant_block_table(n_rows, varying):
@@ -558,49 +607,70 @@ def constant_block_table(n_rows, varying):
     }
     if varying:
         columns["third"] = np.arange(n_rows) / 3.0
-    rows = list(zip(*[col.tolist() for col in columns.values()]))
-    return list(columns), cli.Table(*columns.values()), rows
+    return columns, table_rows(columns)
 
 
 @pytest.mark.parametrize("varying", [True, False], ids=["varying", "all-constant"])
 @pytest.mark.parametrize("n_rows", [0, 1, 2 * cli.BLOCK_ROWS + 5])
 def test_writers_format_constant_columns_as_each_row_would(n_rows, varying):
-    header, table, rows = constant_block_table(n_rows, varying)
-    for write, reference in ((cli._write_csv, reference_csv),
-                             (cli._write_json, reference_json)):
-        stream = io.StringIO()
-        write(header, table, stream)
-        # lines, so that a failure names the first one that differs
-        assert stream.getvalue().split("\n") == reference(header, rows).split("\n")
+    columns, rows = constant_block_table(n_rows, varying)
+    assert_writers_match_references(cli.Table([columns]), rows)
+
+
+@pytest.mark.parametrize("part_rows", [1, 7, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
+                                       cli.BLOCK_ROWS + 5])
+@pytest.mark.parametrize("make", [
+    synthetic_table,
+    lambda n_rows: constant_block_table(n_rows, True),
+    lambda n_rows: constant_block_table(n_rows, False),
+], ids=["synthetic", "constant-varying", "all-constant"])
+def test_writers_match_references_over_many_parts(make, part_rows):
+    # parts smaller than a block are joined into blocks that end inside a
+    # part; larger ones are sliced, with a partial last block per part
+    n_rows = -(-(2 * cli.BLOCK_ROWS + 5) // part_rows) * part_rows
+    columns, rows = make(n_rows)
+    parts = [{name: col[start:start + part_rows] for name, col in columns.items()}
+             for start in range(0, n_rows, part_rows)]
+    assert_writers_match_references(cli.Table(parts), rows)
 
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
 def test_csv_string_cell_needing_quotes_is_refused(cell):
-    table = cli.Table(np.array([1.0, 2.0]), ["plain", cell])
+    table = cli.Table([{"x": np.array([1.0, 2.0]), "s": ["plain", cell]}])
     with pytest.raises(AssertionError, match="CSV string cell"):
-        cli._write_csv(["x", "s"], table, io.StringIO())
+        cli._write_csv(table.header, table, io.StringIO())
 
 
 def test_table_of_one_part_keeps_its_columns():
     part = {"x": np.arange(3.0), "word": ["a", "b", "c"], "k": np.arange(3)}
-    header, table = cli._table([part])
-    assert header == ["x", "word", "k"]
-    # np.concatenate would copy each column
-    assert all(col is part[name] for name, col in zip(header, table.columns))
+    table = cli.Table([part])
+    assert table.header == ["x", "word", "k"]
+    # a join would copy each column
+    assert all(col is part[name] for name, col in zip(table.header, table.parts[0]))
+    (block,) = table.blocks()
+    assert np.shares_memory(block[0], part["x"]) and np.shares_memory(block[2], part["k"])
 
 
 def test_table_joins_parts_by_name_in_the_first_parts_order():
     first = {"b": np.array([1.0]), "a": np.array([2])}
-    second = {"a": np.array([3, 4]), "b": np.array([5.0, 6.0])}
-    header, table = cli._table([first, second])
-    assert header == ["b", "a"]
-    assert [col.tolist() for col in table.columns] == [[1.0, 5.0, 6.0], [2, 3, 4]]
+    second = {"a": np.array([3]), "b": np.array([5.0])}
+    table = cli.Table([first, second])
+    assert table.header == ["b", "a"]
+    assert len(table) == 2
+    assert [[col.tolist() for col in block] for block in table.blocks()] == \
+        [[[1.0, 5.0], [2, 3]]]
+
+
+def test_table_refuses_parts_of_other_lengths():
+    with pytest.raises(AssertionError, match="columns differ in length"):
+        cli.Table([{"a": np.array([1.0])}, {"a": np.array([2.0, 3.0])}])
 
 
 def test_empty_record_table_keeps_every_field_name():
-    header, table = cli._table([cli._records(CoeffDiscrepancy, [])])
-    assert header == ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
+    table = cli.Table([cli._records(CoeffDiscrepancy, [])])
+    assert table.header == ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
     assert len(table) == 0
+    assert list(table.blocks()) == []
 
 
 @pytest.mark.parametrize("argv", [

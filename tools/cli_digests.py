@@ -61,6 +61,12 @@ RUNS = {
     # an --n-trunc beyond int64, so the n_trunc column is an object array of ints
     "parseval-bigint": ["parseval", "--alpha-sweep", "0.3:1.5:2", "--n-trunc",
                         "100,100000000000000000000"],
+    # many parts of a few rows each, so that a block of cli.BLOCK_ROWS rows
+    # ends inside a part; the last one also has an n_trunc beyond int64
+    "energy-small-parts": ["energy", "--alpha-sweep", "0.3:1.5:1500", "--nm-max", "2"],
+    "coeffs-small-parts": ["coeffs", "--alpha-sweep", "0.3:1.5:300", "--n-trunc", "14"],
+    "parseval-small-parts": ["parseval", "--alpha-sweep", "0.01:1.5:2100", "--n-trunc",
+                             "10,100000000000000000000"],
 }
 
 
