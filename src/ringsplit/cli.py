@@ -11,13 +11,20 @@ same argparse types and choices as the flags.
 """
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # One BLAS thread, set before numpy loads: no command reaches a threaded
+    # BLAS kernel, and OpenBLAS's idle workers (one per further core) would
+    # each spin about 0.1 s of CPU before they sleep. A value the caller set
+    # wins; a library import leaves the environment as it was.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import gc
 import itertools
-import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -157,6 +164,7 @@ def _write_csv(header, table: Table, stream) -> None:
 
 def _json_column(col):
     """A column's JSON format, and the column in the form that format reads."""
+    import json  # here and below, where used: a CSV run without a config never loads it
     if isinstance(col, list):
         return "%s", [json.dumps(cell) for cell in col]
     if col.dtype.kind != "f":
@@ -169,6 +177,7 @@ def _json_column(col):
 def _write_json(header, table: Table, stream) -> None:
     """The text of ``json.dump(records, indent=2)`` plus a newline, one record
     per row."""
+    import json
     if not len(table):
         stream.write("[]\n")
         return
@@ -243,6 +252,7 @@ def _number_list(cast):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
+    import json
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -261,6 +271,7 @@ def _config_value(action: argparse.Action, key: str, value):
     (a list becomes a comma list) and then run through the flag's type and
     choices.
     """
+    import json
     items = value if isinstance(value, list) else [value]
     if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in items):
         raise ValueError(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -185,6 +186,95 @@ def test_cli_import_leaves_out_process_pool():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def _probe(code: str, env=None) -> str:
+    """The stdout of ``code`` run by a fresh interpreter, which must succeed."""
+    result = subprocess.run([sys.executable, "-c", code], env=env or subprocess_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    return result.stdout
+
+
+def test_csv_run_leaves_out_json(tmp_path):
+    # only the JSON writer and the config file need json
+    argv = ["cost", "--n-trunc", "10", "--out", str(tmp_path / "cost.csv")]
+    assert _probe("import sys, ringsplit.cli\n"
+                  "print('json' in sys.modules)\n"
+                  f"assert ringsplit.cli.main({argv!r}) == 0\n"
+                  "print('json' in sys.modules)\n") == "False\nFalse\n"
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import sys, ringsplit\n"
+     "print('numpy' in sys.modules, set(ringsplit.__all__) <= set(dir(ringsplit)))\n"
+     "print('numpy' in sys.modules)", "False True\nFalse\n"),
+    # the first lookup goes through the package's __getattr__, the second does not
+    ("import sys, ringsplit\n"
+     "assert ringsplit.__all__ == sorted(set(ringsplit.__all__))\n"
+     "for name in ringsplit.__all__:\n"
+     "    value = getattr(ringsplit, name)\n"
+     "    assert value.__module__.startswith('ringsplit.'), name\n"
+     "    assert value is getattr(sys.modules[value.__module__], name), name\n"
+     "    assert getattr(ringsplit, name) is value, name\n"
+     "print(len(ringsplit.__all__))", "35\n"),
+    ("from ringsplit import *\n"
+     "import ringsplit\n"
+     "print([name for name in ringsplit.__all__\n"
+     "       if globals().get(name) is not getattr(ringsplit, name)])", "[]\n"),
+    ("import sys, ringsplit\n"
+     "print(ringsplit.expansion is sys.modules['ringsplit.expansion'],"
+     " ringsplit.ring.ring_overlap is ringsplit.ring_overlap)", "True True\n"),
+    ("import ringsplit\n"
+     "try:\n"
+     "    ringsplit.no_such_name\n"
+     "except AttributeError as exc:\n"
+     "    print(exc)\n"
+     "print(hasattr(ringsplit, 'cli'))",
+     "module 'ringsplit' has no attribute 'no_such_name'\nFalse\n"),
+], ids=["no-numpy", "names-of-their-modules", "star-import", "submodules", "unknown-name"])
+def test_package_exports_load_on_first_use(code, expected):
+    assert _probe(code) == expected
+
+
+def _script_entry() -> str:
+    """``module:function`` of the ``ringsplit`` console script in pyproject.toml."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    return re.search(r'^ringsplit = "(.+)"$', pyproject.read_text(), re.M).group(1)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the process's threads in /proc/self/task")
+@pytest.mark.parametrize("entry", ["runpy", "script", "library"])
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_program_mode_runs_one_blas_thread(entry, preset, tmp_path):
+    # at exit: the variable as the run left it, and the process's OS threads
+    argv = ["cost", "--n-trunc", "10", "--out", str(tmp_path / "cost.csv")]
+    module, function = _script_entry().split(":")
+    run = {
+        "runpy": "import runpy\n"
+                 "runpy.run_module('ringsplit.cli', run_name='__main__', alter_sys=True)",
+        # what the generated console script does
+        "script": f"from {module} import {function}\nsys.exit({function}())",
+        "library": "from ringsplit.cli import main\nsys.exit(main(sys.argv[1:]))",
+    }[entry]
+    code = ("import atexit, os, sys\n"
+            "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+            " len(os.listdir('/proc/self/task'))))\n"
+            f"sys.argv = ['ringsplit', *{argv!r}]\n" + run)
+    env = subprocess_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    variable, threads = _probe(code, env).split()
+    if entry == "library":
+        assert variable == str(preset)
+    elif preset is None:
+        assert (variable, threads) == ("1", "1")
+    else:
+        # OpenBLAS starts no more threads than the process may run on
+        assert (variable, threads) == ("2", str(min(2, len(os.sched_getaffinity(0)))))
+    assert (tmp_path / "cost.csv").read_text().startswith("alpha,")
 
 
 def test_oracle_import_stays_deferred():
