@@ -156,9 +156,9 @@ def _csv_format(col):
     return "%.17g" if col.dtype.kind == "f" else "%d", col
 
 
-def _write_csv(header, table: Table, stream) -> None:
+def _write_csv(table: Table, stream) -> None:
     """CSV as ``csv.writer`` writes it, floats as ``format(x, ".17g")``."""
-    stream.write(",".join(header) + "\n")
+    stream.write(",".join(table.header) + "\n")
     _write_rows(stream, lambda cells: ",".join(cells) + "\n", _csv_format, table, "")
 
 
@@ -174,14 +174,14 @@ def _json_column(col):
     return "%s", [json.dumps(cell) for cell in col.tolist()]  # NaN, Infinity
 
 
-def _write_json(header, table: Table, stream) -> None:
+def _write_json(table: Table, stream) -> None:
     """The text of ``json.dump(records, indent=2)`` plus a newline, one record
     per row."""
     import json
     if not len(table):
         stream.write("[]\n")
         return
-    keys = [json.dumps(key) for key in header]
+    keys = [json.dumps(key) for key in table.header]
 
     def row_format(cells):
         return "  {\n" + ",\n".join(f"    {key}: {cell}" for key, cell in zip(keys, cells)) \
@@ -192,15 +192,15 @@ def _write_json(header, table: Table, stream) -> None:
     stream.write("\n]\n")
 
 
-def _emit(header, table: Table, args: argparse.Namespace) -> None:
+def _emit(args: argparse.Namespace, table: Table) -> None:
     writer = _write_csv if args.format == "csv" else _write_json
     if args.out is None:
-        writer(header, table, sys.stdout)
+        writer(table, sys.stdout)
         # a closed pipe surfaces here, inside main, and not at interpreter exit
         sys.stdout.flush()
     else:
         with open(args.out, "w", newline="") as fh:
-            writer(header, table, fh)
+            writer(table, fh)
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -229,15 +229,14 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int,
     and the sweep's ends against the range of alpha, before the sweep is built.
     """
     if args.alpha_sweep is None:
-        start, stop, count = math.pi / 4.0 if args.alpha is None else args.alpha, None, 1
+        start = stop = math.pi / 4.0 if args.alpha is None else args.alpha
+        count = 1
     else:
         start, stop, count = _parse_sweep(args.alpha_sweep)
     _check_limit(f"row count ({row_flags})", count * max(rows_per_alpha, 1), ROW_LIMIT)
     # the library's range check on the ends, which bound every alpha of the sweep
     for end in (start, stop)[:count]:
         ChamberGeometry(end)
-    if count == 1:
-        return (start,)
     return tuple(np.linspace(start, stop, count).tolist())
 
 
@@ -268,15 +267,16 @@ def _config_value(action: argparse.Action, key: str, value):
     """Convert and check one config value exactly as its flag would be.
 
     The value is turned into the text a user would pass on the command line
-    (a list becomes a comma list) and then run through the flag's type and
-    choices.
+    (a list becomes a comma list, and an integral float an integer, so that
+    1000.0 suits an int flag and -0.0 keeps its sign as "-0") and then run
+    through the flag's type and choices.
     """
     import json
     items = value if isinstance(value, list) else [value]
     if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in items):
         raise ValueError(
             f"config key {key!r}: expected a number or a string, got {json.dumps(value)}")
-    text = ",".join(str(int(v) if isinstance(v, float) and v.is_integer() else v)
+    text = ",".join(format(v, ".0f") if isinstance(v, float) and v.is_integer() else str(v)
                     for v in items)
     try:
         converted = text if action.type is None else action.type(text)
@@ -365,11 +365,10 @@ def run_coeffs(args: argparse.Namespace):
             **{f"abs_diff_{kind}": np.abs(closed[kind] - oracle[kind]) for kind in COEFF_KINDS},
             "deficit_reference": deficit, "deficit_shifted": deficit,
         })
-        discrepancies.extend(sign_discrepancies(alpha, n_trunc, oracle=oracle))
+        discrepancies.extend(sign_discrepancies(alpha, oracle))
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
-            log = Table([_records(CoeffDiscrepancy, discrepancies)])
-            _write_csv(log.header, log, fh)
+            _write_csv(Table([_records(CoeffDiscrepancy, discrepancies)]), fh)
     elif discrepancies:
         print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
@@ -540,7 +539,7 @@ def main(argv=None) -> int:
             _apply_config(parser, flags)
             args = parser.parse_args(argv)
             table = args.run(args)
-            _emit(table.header, table, args)
+            _emit(args, table)
         except BrokenPipeError:
             # the reader of stdout went away: point stdout at devnull so that the
             # flush at exit raises nothing, and exit as a SIGPIPE would

@@ -450,23 +450,21 @@ class CoeffDiscrepancy:
     adopted: float
 
 
-def sign_discrepancies(alpha: float, n_max: int, *, oracle=None) -> list[CoeffDiscrepancy]:
+def sign_discrepancies(alpha: float, oracle: dict) -> list[CoeffDiscrepancy]:
     """Compare the uncorrected closed form of kind d against the oracle for every n.
 
-    Only kind d has an uncorrected form that differs from the adopted one (it
-    is the adopted form times -1), so only d is compared. One record is
-    returned per n where the oracle refutes the uncorrected form and confirms
-    the adopted one: |uncorrected - oracle| > |adopted| >= |adopted - oracle|.
+    ``oracle`` is the mapping that ``oracle_coefficients(alpha, n_max)``
+    returns; its kind-d values are read, for n = 1 up to their length. Only
+    kind d has an uncorrected form that differs from the adopted one (it is
+    the adopted form times -1), so only d is compared. One record is returned
+    per n where the oracle refutes the uncorrected form and confirms the
+    adopted one: |uncorrected - oracle| > |adopted| >= |adopted - oracle|.
     The rule is relative to the coefficient; it matches every n wherever the
-    oracle resolves the coefficient (down to about alpha = 1e-13). ``oracle``
-    maps kind d to its oracle values for n = 1..n_max when the caller has
-    already computed them; without it they come from ``oracle_coefficients``.
+    oracle resolves the coefficient (down to about alpha = 1e-13).
     """
-    n_max = _check_truncation(n_max)
-    if oracle is None:
-        oracle = oracle_coefficients(alpha, n_max)
-    adopted = coefficient("d", np.arange(1, n_max + 1), alpha)
-    uncorrected, exact = -adopted, np.asarray(oracle["d"])
+    exact = np.asarray(oracle["d"])
+    adopted = coefficient("d", np.arange(1, exact.size + 1), alpha)
+    uncorrected = -adopted
     flipped = ((np.abs(uncorrected - exact) > np.abs(adopted))
                & (np.abs(adopted) >= np.abs(adopted - exact)))
     return [CoeffDiscrepancy(kind="d", n=i + 1, alpha=float(alpha),

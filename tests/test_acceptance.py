@@ -11,8 +11,8 @@ import numpy as np
 from ringsplit import (BarrierModel, build_extended, coefficient, delta_energy,
                        evolve, expand, extended_overlap, helstrom_cost,
                        helstrom_oracle, integrate, oracle_coefficient,
-                       post_insertion_cost, reference_state, revival_period,
-                       ring_overlap, sample_amplitude, shifted_state,
+                       oracle_coefficients, post_insertion_cost, reference_state,
+                       revival_period, ring_overlap, sample_amplitude, shifted_state,
                        sign_discrepancies, single_barrier_coefficients,
                        single_well_projection)
 from ringsplit.cli import main
@@ -62,7 +62,7 @@ def test_criterion_03_coefficient_oracle_suite():
                 closed = coefficient(kind, n, alpha)
                 oracle = oracle_coefficient(kind, n, alpha)
                 worst = max(worst, abs(closed - oracle))
-        corrections.extend(sign_discrepancies(alpha, 50))
+        corrections.extend(sign_discrepancies(alpha, oracle_coefficients(alpha, 50)))
     elapsed = time.perf_counter() - start
     log_complete = ({r.kind for r in corrections} == {"d"}
                     and len(corrections) == 3 * 50

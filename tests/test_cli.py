@@ -123,10 +123,10 @@ def test_parts_are_not_joined_into_a_second_table(tmp_path, monkeypatch):
     part_bytes = []
     emit = cli._emit
 
-    def measured(header, table, args):
+    def measured(args, table):
         arrays = {id(col): col for part in table.parts for col in part}
         part_bytes.append(sum(col.nbytes for col in arrays.values()))
-        emit(header, table, args)
+        emit(args, table)
 
     monkeypatch.setattr(cli, "_emit", measured)
     peak = traced_peak(["energy", "--alpha-sweep", "0.3:1.5:10", "--nm-max", "200",
@@ -157,6 +157,15 @@ def test_tables_match_checked_in_digests(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     manifest = Path(tool.__file__).with_name("cli_digests.sha256")
     assert lines == manifest.read_text().splitlines()
+
+
+def test_digest_tool_exits_1_when_a_run_fails(monkeypatch, capsys):
+    tool = _load_by_path("tools", "cli_digests.py")
+    monkeypatch.setattr(tool, "RUNS", {"bad": ["cost", "--alpha", "3.0"]})
+    assert tool.main() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bad.csv: exit 2\nringsplit: ")
 
 
 def subprocess_env():
@@ -419,13 +428,12 @@ def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("sign_discrepancies integrated again")
 
-    def sign_log(alpha, n_max, *, oracle=None):
+    def sign_log(alpha, oracle):
         # given the table's oracle values, the sign log does no quadrature
-        assert oracle is not None
         with monkeypatch.context() as m:
             m.setattr(ringsplit.expansion, "project_modes", refuse)
             m.setattr(ringsplit.expansion, "project_mode", refuse)
-            return sign_discrepancies(alpha, n_max, oracle=oracle)
+            return sign_discrepancies(alpha, oracle)
 
     oracle = ringsplit.expansion.oracle_coefficients
     sign_discrepancies = ringsplit.expansion.sign_discrepancies
@@ -450,6 +458,21 @@ def test_coeffs_reports_every_sign_correction_at_tiny_alpha(capsys):
     code, _, err = run_cli(["coeffs", "--alpha", "1e-12", "--n-trunc", "20"], capsys)
     assert code == 0
     assert "20 oracle sign corrections" in err
+
+
+@pytest.mark.parametrize("alpha", [PI4, "0.3", "1.5", "1e-9"])
+def test_coeffs_norm_columns_scale_their_own_kind(alpha, capsys):
+    # norm_k is k on its chamber's orthonormal modes, sqrt(2 pi / width) * k:
+    # kinds a and c lie in chamber 1 of width alpha, b and d in chamber 2 of
+    # width 2 pi - alpha
+    code, out, _ = run_cli(["coeffs", "--alpha", alpha, "--n-trunc", "40"], capsys)
+    assert code == 0
+    header, rows = read_csv_text(out)
+    for kind in "abcd":
+        width = float(alpha) if kind in "ac" else 2.0 * math.pi - float(alpha)
+        scale = math.sqrt(2.0 * math.pi / width)
+        assert col(header, rows, f"norm_{kind}") == \
+            [scale * value for value in col(header, rows, kind)], kind
 
 
 def test_coeffs_single_row(capsys):
@@ -666,7 +689,7 @@ def assert_writers_match_references(table, rows):
     for write, reference in ((cli._write_csv, reference_csv),
                              (cli._write_json, reference_json)):
         stream = io.StringIO()
-        write(table.header, table, stream)
+        write(table, stream)
         # lines, so that a failure names the first one that differs and its
         # report does not diff two strings of up to a megabyte
         assert stream.getvalue().split("\n") == reference(table.header, rows).split("\n")
@@ -728,7 +751,7 @@ def test_writers_match_references_over_many_parts(make, part_rows):
 def test_csv_string_cell_needing_quotes_is_refused(cell):
     table = cli.Table([{"x": np.array([1.0, 2.0]), "s": ["plain", cell]}])
     with pytest.raises(AssertionError, match="CSV string cell"):
-        cli._write_csv(table.header, table, io.StringIO())
+        cli._write_csv(table, io.StringIO())
 
 
 def test_table_of_one_part_keeps_its_columns():
@@ -776,9 +799,9 @@ def test_emitted_row_count_is_len_of_table(argv, fmt, tmp_path, monkeypatch):
     lengths = []
     emit = cli._emit
 
-    def counted(header, table, args):
+    def counted(args, table):
         lengths.append(len(table))
-        emit(header, table, args)
+        emit(args, table)
 
     monkeypatch.setattr(cli, "_emit", counted)
     out = tmp_path / f"table.{fmt}"
@@ -1049,6 +1072,22 @@ def test_flag_drops_configured_value_of_its_pair(argv, config, tmp_path, capsys)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code_flags, out_flags, _ = run_cli(argv, capsys)
+    code_config, out_config, _ = run_cli([*argv, "--config", str(path)], capsys)
+    assert code_flags == code_config == 0
+    assert out_config == out_flags
+
+
+@pytest.mark.parametrize("argv,flag,config", [
+    (["cost", "--n-trunc", "10"], "--epsilon=-0.0", {"epsilon": -0.0}),
+    (EVOLVE_SMALL, "--times=-0.0,0.5", {"times": [-0.0, 0.5]}),
+    (["cost", "--alpha", PI4], "--n-trunc=1000", {"n_trunc": 1000.0}),
+    (["cost", "--alpha", PI4], "--n-trunc=100000000000000000000", {"n_trunc": 1e20}),
+], ids=["negative-zero", "negative-zero-in-list", "integral-float", "integral-float-1e20"])
+def test_configured_float_gives_the_bytes_of_its_flag(argv, flag, config, tmp_path, capsys):
+    # an integral float stands for its integer, and -0.0 keeps its sign
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code_flags, out_flags, _ = run_cli([*argv, flag], capsys)
     code_config, out_config, _ = run_cli([*argv, "--config", str(path)], capsys)
     assert code_flags == code_config == 0
     assert out_config == out_flags

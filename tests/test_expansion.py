@@ -136,7 +136,8 @@ def test_coefficient_rejects_bad_inputs():
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.3, PI4, 1.3, math.pi / 2])
 def test_sign_discrepancies_enumerate_kind_d_only(alpha):
-    records = sign_discrepancies(alpha, 16)
+    batched = oracle_coefficients(alpha, 16)
+    records = sign_discrepancies(alpha, batched)
     assert {r.kind for r in records} == {"d"}
     assert [r.n for r in records] == list(range(1, 17))
     for r in records:
@@ -145,21 +146,20 @@ def test_sign_discrepancies_enumerate_kind_d_only(alpha):
         assert r.adopted == coefficient("d", r.n, alpha)
     # the single and batched oracle routes agree bit for bit: for n <= 16
     # both integrate with the same 4-panel rule
-    batched = oracle_coefficients(alpha, 16)
     single = {kind: [oracle_coefficient(kind, n, alpha) for n in range(1, 17)]
               for kind in "abcd"}
     for kind in "abcd":
         assert single[kind] == batched[kind].tolist(), kind
     # oracle values computed elsewhere give the same records, and only kind d is read
-    assert sign_discrepancies(alpha, 16, oracle=single) == records
-    assert sign_discrepancies(alpha, 16, oracle={"d": single["d"]}) == records
+    assert sign_discrepancies(alpha, single) == records
+    assert sign_discrepancies(alpha, {"d": single["d"]}) == records
 
 
 @pytest.mark.parametrize("alpha", [1e-13, 1e-12, 1e-9, 1e-6, 0.3, PI4, 1.5, math.pi / 2])
 def test_sign_log_records_every_kind_d_flip(alpha):
     # relative to the coefficient: an absolute tolerance misses the tiny d_n
     # of a small alpha
-    records = sign_discrepancies(alpha, 20)
+    records = sign_discrepancies(alpha, oracle_coefficients(alpha, 20))
     assert [(r.kind, r.n) for r in records] == [("d", n) for n in range(1, 21)]
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from ringsplit import (BarrierModel, coefficient, expand, oracle_coefficient,  # noqa: E402
-                       post_insertion_cost, reference_state, shifted_state,
-                       sign_discrepancies, truncation_sums)
+                       oracle_coefficients, post_insertion_cost, reference_state,
+                       shifted_state, sign_discrepancies, truncation_sums)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -39,7 +39,7 @@ def test_closed_form_matches_oracle(alpha, n, kind):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(1e-3, math.pi / 2))
 def test_sign_log_is_kind_d_for_every_mode(alpha):
-    records = sign_discrepancies(alpha, 8)
+    records = sign_discrepancies(alpha, oracle_coefficients(alpha, 8))
     assert [(r.kind, r.n) for r in records] == [("d", n) for n in range(1, 9)]
 
 
