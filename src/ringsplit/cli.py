@@ -32,10 +32,10 @@ import numpy as np
 from .discrimination import BarrierModel, DiscriminationReport, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
 # oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
-from .expansion import (COEFF_KINDS, DELTA_E_VARIANTS, ChamberGeometry,  # noqa: F401
-                        CoeffDiscrepancy, coefficient, delta_energy, expand,
-                        oracle_coefficient, oracle_coefficients, sign_discrepancies,
-                        truncation_sums)
+from .expansion import (CANDIDATES, COEFF_KINDS, DELTA_E_VARIANTS,  # noqa: F401
+                        ChamberGeometry, CoeffDiscrepancy, coefficient, delta_energy,
+                        expand, oracle_coefficient, oracle_coefficients,
+                        sign_discrepancies, truncation_sums)
 from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
 
@@ -49,7 +49,6 @@ EXIT_IO_ERROR = 74
 
 VARIANT_CHOICES = DELTA_E_VARIANTS + ("both",)
 FORMAT_CHOICES = ("csv", "json")
-CANDIDATE_CHOICES = ("reference", "shifted")
 
 #: rows converted from numpy to Python values at a time
 BLOCK_ROWS = 4096
@@ -70,7 +69,8 @@ class Table:
     """A table as the parts it was computed in: mappings of column name to
     column, one per alpha, or per chamber and time. ``header`` is the first
     part's names, each part's columns are held by those names, uncopied, and
-    ``len()`` is the number of rows.
+    ``len()`` is the number of rows. Every part has the same names, in any
+    order.
 
     A column is a 1-D numpy array of floats or of ints (an object array for
     ints beyond int64), or a list of str.
@@ -78,6 +78,7 @@ class Table:
 
     def __init__(self, parts: list[dict]) -> None:
         self.header = list(parts[0])
+        assert all(part.keys() == parts[0].keys() for part in parts), "parts differ in names"
         self.parts = [[part[name] for name in self.header] for part in parts]
         assert len(set(map(len, itertools.chain(*self.parts)))) == 1, "columns differ in length"
 
@@ -258,6 +259,8 @@ def _load_config(path: str | None) -> dict:
     except OSError as exc:
         # a config that cannot be read is invalid configuration, not an I/O error
         raise ValueError(f"cannot read config file: {exc}") from None
+    except ValueError as exc:  # bad JSON syntax or bytes that are not UTF-8
+        raise ValueError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config file {path!r} must contain a JSON object")
     return config
@@ -349,8 +352,8 @@ def run_coeffs(args: argparse.Namespace):
     discrepancies = []
     modes = np.arange(1, n_trunc + 1)
     for alpha in alphas:
-        exp_ref = expand(reference_state(), alpha, n_trunc)
-        exp_sh = expand(shifted_state(alpha), alpha, n_trunc)
+        exp_ref = expand("reference", alpha, n_trunc)
+        exp_sh = expand("shifted", alpha, n_trunc)
         # both candidates have the same coefficient magnitudes, so the same deficit
         deficit = np.full(n_trunc, truncation_sums(alpha, n_trunc).deficit)
         # one batched quadrature per chamber, shared by the table and the sign check
@@ -411,8 +414,7 @@ def run_evolve(args: argparse.Namespace):
     if len(alphas) != 1:
         raise ValueError("evolve takes a single --alpha, not a sweep")
     alpha = alphas[0]
-    state = reference_state() if args.candidate == "reference" else shifted_state(alpha)
-    expansion = expand(state, alpha, args.n_trunc)
+    expansion = expand(args.candidate, alpha, args.n_trunc)
     parts = []
     for chamber in chambers:
         lo, hi = expansion.geometry.bounds(chamber)
@@ -500,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="density snapshots at chosen times")
     _add_common_flags(p_evolve, run_evolve)
     _add_n_trunc(p_evolve, 1000)
-    p_evolve.add_argument("--candidate", choices=CANDIDATE_CHOICES, default="reference",
+    p_evolve.add_argument("--candidate", choices=CANDIDATES, default="reference",
                           help="which candidate to evolve (default reference)")
     p_evolve.add_argument("--chamber", choices=("1", "2", "both"), default="both",
                           help="chamber(s) to sample (default both)")

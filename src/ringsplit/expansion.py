@@ -15,8 +15,10 @@ Each coefficient convention has one source:
   c = chamber-1 form, b = chamber-2 form, a = (-1)^n c and d = (-1)^n b.
   These are not projections onto unit vectors, so their squares are not
   probabilities.
-* ``expand(state, alpha, n_trunc)`` gives the *normalized* coefficients, the
-  projections onto the orthonormal modes sqrt(2/width)*sin(...):
+* ``expand(candidate, alpha, n_trunc)``, for a candidate named in
+  ``CANDIDATES`` ("reference" or "shifted"), gives the *normalized*
+  coefficients, the projections onto the orthonormal modes
+  sqrt(2/width)*sin(...):
   A_n = sqrt(2*pi/alpha) * a_n for chamber 1 and
   B_m = sqrt(2*pi/(2*pi - alpha)) * b_m for chamber 2. Their squares sum to 1
   as the truncation grows (Parseval); the squares beyond the truncation sum
@@ -53,6 +55,11 @@ HALF_PI = 0.5 * math.pi
 CHAMBERS = (1, 2)
 
 COEFF_KINDS = ("a", "b", "c", "d")
+
+#: The two discrimination candidates. A name's index is the barrier on that
+#: candidate's node: 0 (angle 0) for the reference, 1 (angle alpha) for the
+#: shifted one.
+CANDIDATES = ("reference", "shifted")
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,8 @@ class ChamberExpansion:
 
     ``norm_coeffs_1``/``norm_coeffs_2`` hold the projections onto the
     orthonormal modes 1..n_trunc of chambers 1/2; ``coefficient`` gives the
-    1/pi-weighted forms. ``node`` is the barrier on the candidate's node, as
-    ``node_barrier`` gives it: 0 (reference candidate) or 1 (shifted).
+    1/pi-weighted forms. ``node`` is the candidate's index in ``CANDIDATES``,
+    which is the barrier on its node: 0 (reference candidate) or 1 (shifted).
     """
 
     geometry: ChamberGeometry
@@ -342,33 +349,15 @@ def truncation_sums(alpha: float, n_trunc: int) -> TruncationSums:
     )
 
 
-def node_barrier(offset: float, alpha: float) -> int:
-    """Which barrier sits on the candidate's node: 0 (angle 0) or 1 (angle alpha).
-
-    Only the two discrimination candidates have a node on a barrier; any
-    other offset is rejected.
-    """
-    # relative to alpha, so that the two barriers stay apart however small alpha is
-    tol = 1e-12 * alpha
-    reduced = math.fmod(offset, TWO_PI)
-    if abs(reduced) <= tol or abs(reduced - TWO_PI) <= tol:
-        return 0
-    if abs(reduced - alpha) <= tol:
-        return 1
-    raise ValueError("state offset must sit on one of the barriers (0 or alpha); "
-                     f"got offset={offset!r} with alpha={alpha!r}")
-
-
-def expand(state: RingState, alpha: float, n_trunc: int) -> ChamberExpansion:
-    """Expand a candidate into both chamber eigenbases using the closed forms.
-
-    Only the two discrimination candidates are supported: the state offset
-    must coincide with one of the barrier angles (its node), mod 2*pi.
-    """
+def expand(candidate: str, alpha: float, n_trunc: int) -> ChamberExpansion:
+    """Expand a candidate, named as in ``CANDIDATES``, into both chamber
+    eigenbases using the closed forms."""
     geometry = ChamberGeometry(alpha)
     n_trunc = _check_truncation(n_trunc)
     n = np.arange(1, n_trunc + 1)
-    node = node_barrier(state.offset, alpha)
+    if candidate not in CANDIDATES:
+        raise ValueError(f"candidate must be one of {CANDIDATES}, got {candidate!r}")
+    node = CANDIDATES.index(candidate)
     kinds = ("a", "b") if node == 0 else ("c", "d")
     c1, c2 = (coefficient(kind, n, alpha) for kind in kinds)
     return ChamberExpansion(

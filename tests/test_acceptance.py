@@ -77,8 +77,8 @@ def test_criterion_04_parseval_convergence():
     deficits_ref = []
     deficits_sh = []
     for n in truncations:
-        deficits_ref.append(expand(reference_state(), PI / 4, n).deficit)
-        deficits_sh.append(expand(shifted_state(PI / 4), PI / 4, n).deficit)
+        deficits_ref.append(expand("reference", PI / 4, n).deficit)
+        deficits_sh.append(expand("shifted", PI / 4, n).deficit)
     slope = float(np.polyfit(np.log(truncations), np.log(deficits_ref), 1)[0])
     ok = (deficits_ref[-1] < 1e-3 and deficits_sh[-1] < 1e-3
           and abs(slope + 1.0) <= 0.15)
@@ -88,8 +88,8 @@ def test_criterion_04_parseval_convergence():
 
 
 def test_criterion_05_sum_rule():
-    e_ref = expand(reference_state(), PI / 4, 10000)
-    e_sh = expand(shifted_state(PI / 4), PI / 4, 10000)
+    e_ref = expand("reference", PI / 4, 10000)
+    e_sh = expand("shifted", PI / 4, 10000)
     total = float(e_ref.norm_coeffs_1 @ e_sh.norm_coeffs_1
                   + e_ref.norm_coeffs_2 @ e_sh.norm_coeffs_2)
     error = abs(total - math.cos(PI / 4))
@@ -112,8 +112,8 @@ def test_criterion_07_zero_overlap_and_cost_with_ideal_barriers():
     ok = True
     for alpha in (PI / 6, PI / 4, PI / 3):
         for n_trunc in (10, 100, 1000):
-            ref = build_extended(expand(reference_state(), alpha, n_trunc))
-            sh = build_extended(expand(shifted_state(alpha), alpha, n_trunc))
+            ref = build_extended(expand("reference", alpha, n_trunc))
+            sh = build_extended(expand("shifted", alpha, n_trunc))
             overlap = extended_overlap(ref, sh, ideal)
             report = post_insertion_cost(alpha, n_trunc, ideal)
             ok = ok and overlap == 0.0 and report.cost_after == 0.0
@@ -134,7 +134,7 @@ def test_criterion_08_nodal_insertion_identity():
 
 
 def test_criterion_09_evolution_properties():
-    e = expand(reference_state(), PI / 4, 1000)
+    e = expand("reference", PI / 4, 1000)
     ok = True
     details = []
     for chamber in (1, 2):

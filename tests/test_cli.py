@@ -159,6 +159,53 @@ def test_tables_match_checked_in_digests(tmp_path, capsys, monkeypatch):
     assert lines == manifest.read_text().splitlines()
 
 
+def _printed_values(path):
+    """The rows of a table the CLI wrote as CSV or JSON, as dicts of column
+    name to float; the note column is left out."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    else:
+        rows = json.loads(path.read_text())
+    return [{name: float(value) for name, value in row.items() if name != "note"}
+            for row in rows]
+
+
+def test_printed_cost_and_parseval_columns_obey_exact_identities(tmp_path, monkeypatch):
+    # every cost and parseval run of tools/cli_digests.py, checked against
+    # identities and not against the manifest, so a regenerated manifest
+    # cannot pass them
+    tool = _load_by_path("tools", "cli_digests.py")
+    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
+    tables = {"cost": 0, "parseval": 0}
+    ideal_rows = 0
+    for argv, (path, *_) in tool.invocations(tmp_path):
+        if argv[0] not in tables:
+            continue
+        assert main(argv) == 0, argv
+        rows = _printed_values(path)
+        assert rows, argv
+        tables[argv[0]] += 1
+        for v in rows:
+            alpha = v["alpha"]
+            if argv[0] == "parseval":
+                assert v["sum_rule_abs_error"] == abs(v["sum_rule_overlap"] - v["ring_overlap"])
+                assert v["deficit_reference"] == v["deficit_shifted"]
+                assert v["completeness_reference"] == v["completeness_shifted"]
+                assert abs(v["deficit_reference"] + v["completeness_reference"] - 1.0) \
+                    <= 8 * math.ulp(1.0)
+                assert abs(v["ring_overlap"] - math.cos(alpha)) <= 2 * math.ulp(math.cos(alpha))
+                continue
+            assert v["cost_before"] == 0.5 - 0.5 * math.sin(alpha)
+            assert abs(v["overlap_before"] - math.cos(alpha) ** 2) \
+                <= 4 * math.ulp(math.cos(alpha) ** 2)
+            assert v["cost_after"] == 0.5 - 0.5 * math.sqrt(1.0 - v["overlap_after"])
+            if v["epsilon"] == 0.0:
+                assert v["overlap_after"] == v["cost_after"] == 0.0
+                ideal_rows += 1
+    assert all(tables.values()) and ideal_rows
+
+
 def test_digest_tool_exits_1_when_a_run_fails(monkeypatch, capsys):
     tool = _load_by_path("tools", "cli_digests.py")
     monkeypatch.setattr(tool, "RUNS", {"bad": ["cost", "--alpha", "3.0"]})
@@ -774,6 +821,15 @@ def test_table_joins_parts_by_name_in_the_first_parts_order():
         [[[1.0, 5.0], [2, 3]]]
 
 
+@pytest.mark.parametrize("second", [
+    {"a": np.array([2.0]), "b": np.array([3.0]), "c": np.array([4.0])},
+    {"a": np.array([2.0])},
+], ids=["extra-name", "missing-name"])
+def test_table_refuses_parts_of_other_names(second):
+    with pytest.raises(AssertionError, match="parts differ in names"):
+        cli.Table([{"a": np.array([1.0]), "b": np.array([5.0])}, second])
+
+
 def test_table_refuses_parts_of_other_lengths():
     with pytest.raises(AssertionError, match="columns differ in length"):
         cli.Table([{"a": np.array([1.0])}, {"a": np.array([2.0, 3.0])}])
@@ -922,6 +978,27 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("ringsplit: cannot read config file: [Errno 2]")
+
+
+#: name -> contents of a config file that is not JSON: a syntax error, and
+#: bytes that are not UTF-8
+NOT_JSON = {"trailing-comma": b'{"alpha": 0.5,}', "not-utf8": b"\xff\xfe"}
+
+
+@pytest.mark.parametrize("via", ["flag", "environment"])
+@pytest.mark.parametrize("name", list(NOT_JSON))
+def test_config_that_is_not_json_exits_2(name, via, tmp_path, capsys, monkeypatch):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(NOT_JSON[name])
+    argv = ["cost", "--n-trunc", "10"]
+    if via == "flag":
+        argv += ["--config", str(path)]
+    else:
+        monkeypatch.setenv("RINGSPLIT_CONFIG", str(path))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ringsplit: config file {str(path)!r} is not valid JSON: ")
 
 
 # ---------------------------------------------------------------- config handling

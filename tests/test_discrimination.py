@@ -5,8 +5,7 @@ import pytest
 
 from ringsplit import (BarrierModel, ChamberExpansion, ChamberGeometry, build_extended,
                        coefficient, expand, extended_overlap, helstrom_cost,
-                       helstrom_oracle, post_insertion_cost, reference_state,
-                       shifted_state)
+                       helstrom_oracle, post_insertion_cost)
 from ringsplit.quadrature import project_modes
 
 PI4 = math.pi / 4
@@ -16,8 +15,8 @@ GROUND = "ground"
 
 
 def _extended_pair(alpha, n_trunc):
-    ref = build_extended(expand(reference_state(), alpha, n_trunc))
-    sh = build_extended(expand(shifted_state(alpha), alpha, n_trunc))
+    ref = build_extended(expand("reference", alpha, n_trunc))
+    sh = build_extended(expand("shifted", alpha, n_trunc))
     return ref, sh
 
 
@@ -125,7 +124,7 @@ def test_build_extended_tag_orientation():
 
 
 def test_norm_sq_before_is_product_of_chamber_sums():
-    e = expand(reference_state(), PI4, 10)
+    e = expand("reference", PI4, 10)
     ext = build_extended(e)
     a = e.norm_coeffs_1
     b = e.norm_coeffs_2
@@ -147,7 +146,7 @@ def test_self_overlap_is_one(n_trunc):
 
 
 def test_truncation_one_gives_single_unit_entry():
-    ref = build_extended(expand(reference_state(), PI4, 1))
+    ref = build_extended(expand("reference", PI4, 1))
     entries = list(items(ref))
     assert len(entries) == 1
     (_, amp), = entries

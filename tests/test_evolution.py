@@ -12,7 +12,7 @@ PI4 = math.pi / 4
 
 
 def _expansion(n_trunc=300, alpha=PI4):
-    return expand(reference_state(), alpha, n_trunc)
+    return expand("reference", alpha, n_trunc)
 
 
 def test_revival_period_formula():
@@ -106,7 +106,7 @@ def test_reconstruction_matches_candidate_at_time_zero():
 
 def test_reconstruction_of_shifted_candidate():
     alpha = math.pi / 3
-    e = expand(shifted_state(alpha), alpha, 1000)
+    e = expand("shifted", alpha, 1000)
     lo, hi = e.geometry.bounds(2)
     width = hi - lo
     grid = np.linspace(lo + 0.05 * width, hi - 0.05 * width, 501)
@@ -163,8 +163,8 @@ def test_uniform_grid_density_matches_dense_basis(points, n_trunc):
     # 61st point plus both ends instead of all of them
     picks = np.r_[0:points:1 if points <= 257 else 61, points - 2, points - 1]
     alpha = 0.7
-    for state in (reference_state(), shifted_state(alpha)):
-        e = expand(state, alpha, n_trunc)
+    for candidate in ("reference", "shifted"):
+        e = expand(candidate, alpha, n_trunc)
         for chamber in (1, 2):
             grid = _uniform_grid(e, chamber, points)
             period = revival_period(e.geometry.width(chamber))

@@ -9,7 +9,6 @@ from ringsplit import (ChamberGeometry, coefficient, delta_energy,
                        shifted_state, sign_discrepancies,
                        single_barrier_coefficients, single_well_projection,
                        truncation_sums)
-from ringsplit.expansion import node_barrier
 
 PI4 = math.pi / 4
 ORACLE_ALPHAS = [math.pi / 6, math.pi / 4, math.pi / 3]
@@ -166,7 +165,7 @@ def test_sign_log_records_every_kind_d_flip(alpha):
 # ---------------------------------------------------------------- expand
 
 def test_expand_normalized_relation():
-    e = expand(reference_state(), PI4, 32)
+    e = expand("reference", PI4, 32)
     n = np.arange(1, 33)
     np.testing.assert_allclose(
         e.norm_coeffs_1, math.sqrt(2.0 * math.pi / PI4) * coefficient("a", n, PI4),
@@ -178,8 +177,8 @@ def test_expand_normalized_relation():
 
 
 def test_expand_selects_candidate_by_offset():
-    e_ref = expand(reference_state(), PI4, 6)
-    e_sh = expand(shifted_state(PI4), PI4, 6)
+    e_ref = expand("reference", PI4, 6)
+    e_sh = expand("shifted", PI4, 6)
     n = np.arange(1, 7)
     scale_1 = math.sqrt(2.0 * math.pi / PI4)
     scale_2 = math.sqrt(2.0 * math.pi / (2.0 * math.pi - PI4))
@@ -191,25 +190,28 @@ def test_expand_selects_candidate_by_offset():
                                rtol=1e-15)
 
 
-def test_expand_rejects_off_barrier_offset():
-    with pytest.raises(ValueError):
-        expand(ring_state(0.123), PI4, 4)
+def test_expand_rejects_unknown_candidate():
+    with pytest.raises(ValueError, match="candidate must be one of"):
+        expand("neither", PI4, 4)
+    # a state is not a candidate's name, even the one at a barrier
+    with pytest.raises(ValueError, match="candidate must be one of"):
+        expand(ring_state(PI4), PI4, 4)
 
 
-def test_node_barrier_tolerance_scales_with_alpha():
+@pytest.mark.parametrize("alpha", [1e-100, 1e-13, math.pi / 2])
+def test_candidate_nodes_stay_apart_at_any_alpha(alpha):
     # the barriers at 0 and alpha stay apart however close alpha is to 0
-    assert node_barrier(0.0, 1e-13) == 0
-    assert node_barrier(1e-13, 1e-13) == 1
-    assert node_barrier(5e-324, 5e-324) == 1
+    assert expand("reference", alpha, 1).node == 0
+    assert expand("shifted", alpha, 1).node == 1
 
 
 def test_expand_rejects_bad_truncation():
     with pytest.raises(ValueError):
-        expand(reference_state(), PI4, 0)
+        expand("reference", PI4, 0)
 
 
 @pytest.mark.parametrize("build", [
-    lambda n: expand(reference_state(), PI4, n),
+    lambda n: expand("reference", PI4, n),
     lambda n: truncation_sums(PI4, n),
     lambda n: single_barrier_coefficients(shifted_state(PI4), n),
 ], ids=["expand", "truncation_sums", "single_barrier_coefficients"])
@@ -222,29 +224,29 @@ def test_truncation_must_be_an_integer(build):
 
 
 def test_deficit_monotone_decreasing():
-    deficits = [expand(reference_state(), PI4, N).deficit
+    deficits = [expand("reference", PI4, N).deficit
                 for N in (10, 30, 100, 300, 1000)]
     assert all(d1 > d2 for d1, d2 in zip(deficits, deficits[1:]))
     assert all(0.0 < d < 1.0 for d in deficits)
 
 
 def test_deficit_frozen_values():
-    assert abs(expand(reference_state(), PI4, 100).deficit
+    assert abs(expand("reference", PI4, 100).deficit
                - 0.002016683082744608) < 1e-15
-    assert abs(expand(reference_state(), PI4, 1000).deficit
+    assert abs(expand("reference", PI4, 1000).deficit
                - 0.00020254144239861827) < 1e-15
 
 
 def test_deficit_equal_for_both_candidates():
-    e_ref = expand(reference_state(), PI4, 500)
-    e_sh = expand(shifted_state(PI4), PI4, 500)
+    e_ref = expand("reference", PI4, 500)
+    e_sh = expand("shifted", PI4, 500)
     assert math.isclose(e_ref.deficit, e_sh.deficit, rel_tol=1e-12)
 
 
 def test_sum_rule_converges_to_ring_overlap():
     # completeness of the joint chamber bases: sum(A*C) + sum(B*D) -> cos(alpha)
-    e_ref = expand(reference_state(), PI4, 1000)
-    e_sh = expand(shifted_state(PI4), PI4, 1000)
+    e_ref = expand("reference", PI4, 1000)
+    e_sh = expand("shifted", PI4, 1000)
     total = float(e_ref.norm_coeffs_1 @ e_sh.norm_coeffs_1
                   + e_ref.norm_coeffs_2 @ e_sh.norm_coeffs_2)
     assert abs(total - math.cos(PI4)) < 10.0 * e_ref.deficit

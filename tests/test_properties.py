@@ -9,15 +9,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from ringsplit import (BarrierModel, coefficient, expand, oracle_coefficient,  # noqa: E402
-                       oracle_coefficients, post_insertion_cost, reference_state,
-                       shifted_state, sign_discrepancies, truncation_sums)
+                       oracle_coefficients, post_insertion_cost, sign_discrepancies,
+                       truncation_sums)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(1e-3, math.pi / 2), n_trunc=st.integers(1, 2000))
 def test_closed_form_sums_match_dot_products(alpha, n_trunc):
     # the mode-by-mode route: dot products of the expand() arrays
-    ref, sh = (expand(s, alpha, n_trunc) for s in (reference_state(), shifted_state(alpha)))
+    ref, sh = (expand(c, alpha, n_trunc) for c in ("reference", "shifted"))
     a, b, c, d = ref.norm_coeffs_1, ref.norm_coeffs_2, sh.norm_coeffs_1, sh.norm_coeffs_2
     sums = truncation_sums(alpha, n_trunc)
     assert math.isclose(sums.weight_1, a @ a, rel_tol=1e-13)
