@@ -72,8 +72,8 @@ class Table:
     ``len()`` is the number of rows. Every part has the same names, in any
     order.
 
-    A column is a 1-D numpy array of floats or of ints (an object array for
-    ints beyond int64), or a list of str.
+    A column is a 1-D numpy array: of floats, of ints, or of objects, which
+    hold text and ints beyond int64.
     """
 
     def __init__(self, parts: list[dict]) -> None:
@@ -92,53 +92,51 @@ class Table:
         group = max(1, BLOCK_ROWS // max(len(self.parts[0][0]), 1))
         for first in range(0, len(self.parts), group):
             parts = self.parts[first:first + group]
-            columns = parts[0] if len(parts) == 1 else [
-                [cell for col in cols for cell in col] if isinstance(cols[0], list)
-                else np.concatenate(cols)
-                for cols in zip(*parts)]
+            columns = parts[0] if len(parts) == 1 else list(map(np.concatenate, zip(*parts)))
             for start in range(0, len(columns[0]), BLOCK_ROWS):
                 yield [col[start:start + BLOCK_ROWS] for col in columns]
 
 
 def _records(record_type, records) -> dict:
     """The columns of dataclass records, by field name of ``record_type`` in
-    field order. A column whose first value is a str stays a list, which
-    shares each string; any other becomes a numpy array."""
+    field order, each a numpy array. A column whose first value is a str is
+    an object array, which shares each string rather than copying it."""
     def column(name):
         values = [getattr(record, name) for record in records]
-        return values if values and isinstance(values[0], str) else np.array(values)
+        return np.array(values, dtype=object if values and isinstance(values[0], str) else None)
     return {field.name: column(field.name) for field in dataclasses.fields(record_type)}
 
 
 def _holds_one_value(col) -> bool:
-    """Whether a block of a numeric column holds one value, judged on its
-    bytes, so that -0.0 and 0.0 keep their own text. (A first numpy ``==``
-    and ``.all()`` would add 0.25 MB of peak RSS to every small table.)"""
-    if not isinstance(col, np.ndarray) or col.dtype.kind not in "fiu":
-        return False  # str cells and ints beyond int64
+    """Whether a block of a column holds one value, judged on its bytes, so
+    that -0.0 and 0.0 keep their own text and an object column holds one
+    object. (A first numpy ``==`` and ``.all()`` would add 0.25 MB of peak RSS
+    to every small table.)"""
     return col.tobytes() == col[:1].tobytes() * len(col)
 
 
 def _write_rows(stream, row_format, column_format, table: Table, sep: str) -> None:
     """Write every row of ``table``, with ``sep`` between rows.
 
-    ``column_format(col)`` gives a column's block as its %-format and the
-    block in the form that format reads, and ``row_format(cells)`` is the
-    format of a row whose columns take the texts or formats ``cells``. Each
-    block of ``table.blocks()`` is converted to Python values once per column
-    (``tolist``). A numeric column that holds one value over the block has
-    its cell formatted once, and that text, with ``%`` escaped, goes literally
-    into the block's row format; the other columns fill each row. Rows go to
-    the stream one by one, so no text of more than one row is held at once.
+    ``column_format(col)`` gives a column's %-format and its cells, ``tolist``
+    of the column in the form that format reads, and ``row_format(cells)`` is
+    the format of a row whose columns take the texts or formats ``cells``. A
+    column that holds one value over a block of ``table.blocks()`` (text and
+    ints beyond int64 too) has its first cell formatted once, and that text,
+    with ``%`` escaped, goes literally into the block's row format; the other
+    columns fill each row. Rows go to the stream one by one, so no text of
+    more than one row is held at once.
     """
     for index, block in enumerate(table.blocks()):
         cells, varying = [], []
-        for fmt, col in map(column_format, block):
-            if _holds_one_value(col):
-                cells.append((fmt % col[0].item()).replace("%", "%%"))
+        for col in block:
+            one = _holds_one_value(col)
+            fmt, values = column_format(col[:1] if one else col)
+            if one:
+                cells.append((fmt % values[0]).replace("%", "%%"))
             else:
                 cells.append(fmt)
-                varying.append(col.tolist() if isinstance(col, np.ndarray) else col)
+                varying.append(values)
         rows = zip(*varying) if varying else itertools.repeat((), len(block[0]))
         block_format = row_format(cells)
         if not index:
@@ -148,13 +146,14 @@ def _write_rows(stream, row_format, column_format, table: Table, sep: str) -> No
 
 
 def _csv_format(col):
-    """A column's CSV format, and the column."""
-    if isinstance(col, list):
-        # the writer does no quoting, so a cell must need none
-        assert not any(ch in cell for cell in col for ch in ',"\r\n'), \
-            "a CSV string cell holds a comma, a quote or a line break"
-        return "%s", col
-    return "%.17g" if col.dtype.kind == "f" else "%d", col
+    """A column's CSV format, and its cells."""
+    cells = col.tolist()
+    if col.dtype.kind != "O":
+        return "%.17g" if col.dtype.kind == "f" else "%d", cells
+    # the writer does no quoting, so a text cell must need none
+    assert not any(ch in cell for cell in cells if isinstance(cell, str) for ch in ',"\r\n'), \
+        "a CSV string cell holds a comma, a quote or a line break"
+    return "%s", cells  # "%s" of an int is its "%d" text
 
 
 def _write_csv(table: Table, stream) -> None:
@@ -164,15 +163,14 @@ def _write_csv(table: Table, stream) -> None:
 
 
 def _json_column(col):
-    """A column's JSON format, and the column in the form that format reads."""
+    """A column's JSON format, and its cells in the form that format reads."""
     import json  # here and below, where used: a CSV run without a config never loads it
-    if isinstance(col, list):
-        return "%s", [json.dumps(cell) for cell in col]
-    if col.dtype.kind != "f":
-        return "%d", col
-    if np.isfinite(col).all():
-        return "%r", col  # float.__repr__, as json writes a float
-    return "%s", [json.dumps(cell) for cell in col.tolist()]  # NaN, Infinity
+    cells = col.tolist()
+    if col.dtype.kind in "iu":
+        return "%d", cells
+    if col.dtype.kind == "f" and np.isfinite(col).all():
+        return "%r", cells  # float.__repr__, as json writes a float
+    return "%s", [json.dumps(cell) for cell in cells]  # text, big ints, NaN, Infinity
 
 
 def _write_json(table: Table, stream) -> None:
@@ -510,10 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="grid points per chamber (default 4096)")
     time_group = p_evolve.add_mutually_exclusive_group()
     time_group.add_argument("--time-fracs", type=_number_list(float), default=None,
-                            help="comma list of times as fractions of the revival period "
-                                 "(default 0,0.25,0.5,0.75,1)")
+                            help="comma list of fractions of the revival period (a negative "
+                                 "list as --time-fracs=-0.25,0.5; default 0,0.25,0.5,0.75,1)")
     time_group.add_argument("--times", type=_number_list(float), default=None,
-                            help="comma list of absolute times")
+                            help="comma list of absolute times (a negative list as --times=-1,2)")
 
     p_parseval = sub.add_parser("parseval", help="completeness deficits vs truncation")
     _add_common_flags(p_parseval, run_parseval)

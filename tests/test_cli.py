@@ -17,8 +17,9 @@ import pytest
 import ringsplit
 from ringsplit import cli
 from ringsplit.cli import main
-from ringsplit.discrimination import BarrierModel, post_insertion_cost
-from ringsplit.expansion import CoeffDiscrepancy
+from ringsplit.discrimination import NOTE_TENSOR_MODEL, BarrierModel, post_insertion_cost
+from ringsplit.evolution import revival_period
+from ringsplit.expansion import COEFF_KINDS, ChamberGeometry, CoeffDiscrepancy, truncation_sums
 
 PI4 = repr(math.pi / 4)
 
@@ -159,16 +160,20 @@ def test_tables_match_checked_in_digests(tmp_path, capsys, monkeypatch):
     assert lines == manifest.read_text().splitlines()
 
 
+def _printed_rows(path):
+    """The rows of a table the CLI wrote as CSV or JSON, as dicts of column
+    name to cell: its text in CSV, its JSON value in JSON."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+    return json.loads(path.read_text())
+
+
 def _printed_values(path):
     """The rows of a table the CLI wrote as CSV or JSON, as dicts of column
     name to float; the note column is left out."""
-    if path.suffix == ".csv":
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = json.loads(path.read_text())
     return [{name: float(value) for name, value in row.items() if name != "note"}
-            for row in rows]
+            for row in _printed_rows(path)]
 
 
 def test_printed_cost_and_parseval_columns_obey_exact_identities(tmp_path, monkeypatch):
@@ -204,6 +209,62 @@ def test_printed_cost_and_parseval_columns_obey_exact_identities(tmp_path, monke
                 assert v["overlap_after"] == v["cost_after"] == 0.0
                 ideal_rows += 1
     assert all(tables.values()) and ideal_rows
+
+
+def _flag(argv, name):
+    return argv[argv.index(name) + 1]
+
+
+def test_printed_coeffs_energy_sign_log_and_note_columns_obey_exact_identities(
+        tmp_path, monkeypatch):
+    # every coeffs, energy and cost run of tools/cli_digests.py, and the sign
+    # logs of the coeffs runs, checked against identities and not against the
+    # manifest, so a regenerated manifest cannot pass them
+    tool = _load_by_path("tools", "cli_digests.py")
+    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
+    checked = dict.fromkeys(("coeffs", "energy", "cost", "sign log", "variants"), 0)
+    for argv, (path, *log) in tool.invocations(tmp_path):
+        if argv[0] not in ("coeffs", "energy", "cost"):
+            continue
+        assert main(argv) == 0, argv
+        checked[argv[0]] += 1
+        if argv[0] == "cost":
+            for row in _printed_rows(path):
+                assert row["note"] == ("" if float(row["epsilon"]) == 0.0 else NOTE_TENSOR_MODEL)
+            continue
+        rows = _printed_values(path)
+        assert rows, argv
+        if argv[0] == "energy":
+            nm_max = int(_flag(argv, "--nm-max"))
+            modes = [(n, m) for n in range(1, nm_max + 1) for m in range(1, nm_max + 1)]
+            assert len(rows) % len(modes) == 0
+            for start in range(0, len(rows), len(modes)):
+                group = rows[start:start + len(modes)]
+                assert len({v["alpha"] for v in group}) == 1
+                assert [(v["n"], v["m"]) for v in group] == modes
+            for v in rows if "variant_difference" in rows[0] else ():
+                nominal = v["delta_e_nominal"]
+                assert v["variant_difference"] == nominal - v["delta_e_conserving"]
+                assert abs(v["variant_difference"] - 0.375) <= 1e-12 * max(1.0, abs(nominal))
+                checked["variants"] += 1
+            continue
+        n_trunc = int(_flag(argv, "--n-trunc"))
+        for v in rows:
+            sign = (-1) ** int(v["n"])
+            assert (v["c"], v["d"]) == (sign * v["a"], sign * v["b"])
+            for kind in COEFF_KINDS:
+                assert v[f"abs_diff_{kind}"] == abs(v[kind] - v[f"oracle_{kind}"])
+                assert abs(v[f"oracle_{kind}"] - v[kind]) <= 1e-12
+            assert v["deficit_reference"] == v["deficit_shifted"] \
+                == truncation_sums(v["alpha"], n_trunc).deficit
+        by_mode = {(v["alpha"], v["n"]): v for v in rows}
+        for record in _printed_rows(log[0]):
+            v = by_mode[float(record["alpha"]), float(record["n"])]
+            assert record["kind"] == "d"
+            assert (float(record["adopted"]), float(record["oracle"]),
+                    float(record["uncorrected"])) == (v["d"], v["oracle_d"], -v["d"])
+            checked["sign log"] += 1
+    assert all(checked.values()), checked
 
 
 def test_digest_tool_exits_1_when_a_run_fails(monkeypatch, capsys):
@@ -601,6 +662,25 @@ def test_evolve_rejects_time_beyond_phase_resolution(capsys):
     assert "2**52" in err
 
 
+def test_evolve_takes_negative_time_lists_attached_with_equals(capsys):
+    # argparse reads "-1e3,2" after a space as a flag, so a list that starts
+    # with a minus sign is attached with "="
+    code, out, _ = run_cli(["evolve", "--alpha", "0.7", "--n-trunc", "20", "--grid-points",
+                            "3", "--times=-1e3,2"], capsys)
+    assert code == 0
+    header, rows = read_csv_text(out)
+    # each chamber's grid at each time in turn
+    assert col(header, rows, "t") == ([-1000.0] * 3 + [2.0] * 3) * 2
+    code, out, _ = run_cli(["evolve", "--alpha", "0.7", "--n-trunc", "20", "--grid-points",
+                            "3", "--time-fracs=-0.25,0.5"], capsys)
+    assert code == 0
+    header, rows = read_csv_text(out)
+    periods = [revival_period(ChamberGeometry(0.7).width(chamber)) for chamber in (1, 2)]
+    assert col(header, rows, "t") == [f * period for period in periods
+                                      for f in (-0.25, 0.5) for _ in range(3)]
+    assert col(header, rows, "chamber", int) == [1] * 6 + [2] * 6
+
+
 @pytest.mark.parametrize("argv,cause", [
     # the alpha check in the coefficients comes before the revival period
     (["evolve", "--n-trunc", "10", "--grid-points", "3"], "too small for float64"),
@@ -719,17 +799,16 @@ def synthetic_table(n_rows):
     nonfinite[2::7] = math.inf
     nonfinite[3::11] = -math.inf
     ints = np.linspace(0, 10**12, n_rows).astype(np.int64)
-    words = [("kind d", "tab\there", "\u00e9t\u00e9", "back\\slash")[i % 4]
-             for i in range(n_rows)]
-    columns = {"float": floats, "int": ints, "empty": [""] * n_rows, "word": words,
-               "nonfinite": nonfinite}
+    words = np.array([("kind d", "tab\there", "\u00e9t\u00e9", "back\\slash")[i % 4]
+                      for i in range(n_rows)], dtype=object)
+    columns = {"float": floats, "int": ints, "empty": np.array([""] * n_rows, dtype=object),
+               "word": words, "nonfinite": nonfinite}
     return columns, table_rows(columns)
 
 
 def table_rows(columns):
     """The rows of named columns, as Python values."""
-    return list(zip(*[col.tolist() if isinstance(col, np.ndarray) else col
-                      for col in columns.values()]))
+    return list(zip(*[col.tolist() for col in columns.values()]))
 
 
 def assert_writers_match_references(table, rows):
@@ -750,10 +829,16 @@ def test_writers_match_csv_and_json_modules(n_rows):
 
 def constant_block_table(n_rows, varying):
     """Columns that hold one value over whole blocks of cli.BLOCK_ROWS rows;
-    ``step`` changes inside the second block. With ``varying``, one column
-    differs from row to row."""
+    ``step`` and the other ``step_*`` columns change inside the second block.
+    With ``varying``, one column differs from row to row."""
     mixed_zero = np.zeros(n_rows)
     mixed_zero[n_rows // 2:n_rows // 2 + 1] = -0.0  # equal to 0.0, but its own bits
+    before = min(n_rows, cli.BLOCK_ROWS + 100)
+
+    def stepped(first, then):
+        # an object array whose cells share the two objects
+        return np.array([first] * before + [then] * (n_rows - before), dtype=object)
+
     columns = {
         "step": np.where(np.arange(n_rows) < cli.BLOCK_ROWS + 100, 0.25, 0.5),
         "neg_zero": np.full(n_rows, -0.0),
@@ -764,6 +849,13 @@ def constant_block_table(n_rows, varying):
         "neg_inf": np.full(n_rows, -math.inf),
         "nan": np.full(n_rows, math.nan),
         "big_int": np.full(n_rows, 2**53 + 1, dtype=np.int64),
+        # object columns: one shared string (with a % to escape), equal strings
+        # that are distinct objects, and ints beyond int64
+        "text": np.full(n_rows, "100% one object", dtype=object),
+        "equal_text": np.array(["".join(["eq", "ual"]) for _ in range(n_rows)], dtype=object),
+        "step_text": stepped("\u00e9t\u00e9", "back\\slash"),
+        "huge_int": np.full(n_rows, 2**70, dtype=object),
+        "step_huge_int": stepped(2**64, -2**80 - 1),
     }
     if varying:
         columns["third"] = np.arange(n_rows) / 3.0
@@ -796,13 +888,14 @@ def test_writers_match_references_over_many_parts(make, part_rows):
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
 def test_csv_string_cell_needing_quotes_is_refused(cell):
-    table = cli.Table([{"x": np.array([1.0, 2.0]), "s": ["plain", cell]}])
+    table = cli.Table([{"x": np.array([1.0, 2.0]), "s": np.array(["plain", cell], dtype=object)}])
     with pytest.raises(AssertionError, match="CSV string cell"):
         cli._write_csv(table, io.StringIO())
 
 
 def test_table_of_one_part_keeps_its_columns():
-    part = {"x": np.arange(3.0), "word": ["a", "b", "c"], "k": np.arange(3)}
+    part = {"x": np.arange(3.0), "word": np.array(["a", "b", "c"], dtype=object),
+            "k": np.arange(3)}
     table = cli.Table([part])
     assert table.header == ["x", "word", "k"]
     # a join would copy each column

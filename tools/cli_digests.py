@@ -12,8 +12,10 @@ and after a change and compare the two outputs: a refactor that keeps the
 tables byte-identical prints the same lines. Exits 1 if any run fails.
 
 ``cli_digests.sha256`` next to this script holds the lines of the current
-tables, and the test suite checks them; a change that moves bytes on purpose
-regenerates it with ``python3 tools/cli_digests.py > tools/cli_digests.sha256``.
+tables, generated with numpy 2.4.6 (columns computed through numpy's ``sin``,
+``exp`` or FFT may differ in the last bit on another numpy), and the test
+suite checks them; a change that moves bytes on purpose regenerates it with
+``python3 tools/cli_digests.py > tools/cli_digests.sha256``.
 """
 from __future__ import annotations
 
