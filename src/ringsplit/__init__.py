@@ -22,7 +22,7 @@ _ORIGIN = {name: module for module, names in {
     "discrimination": "BarrierModel DiscriminationReport ExtendedState build_extended "
                       "extended_overlap helstrom_cost helstrom_oracle post_insertion_cost",
     "evolution": "EvolvedChamberState evolve revival_period sample_amplitude sample_density",
-    "expansion": "ChamberExpansion ChamberGeometry CoeffDiscrepancy TruncationSums "
+    "expansion": "ChamberExpansion ChamberGeometry TruncationSums "
                  "coefficient delta_energy expand oracle_coefficient oracle_coefficients "
                  "sign_discrepancies single_barrier_coefficients single_well_projection "
                  "truncation_sums",

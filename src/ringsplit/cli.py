@@ -33,9 +33,8 @@ from .discrimination import BarrierModel, DiscriminationReport, post_insertion_c
 from .evolution import evolve, revival_period, sample_density
 # oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
 from .expansion import (CANDIDATES, COEFF_KINDS, DELTA_E_VARIANTS,  # noqa: F401
-                        ChamberGeometry, CoeffDiscrepancy, coefficient, delta_energy,
-                        expand, oracle_coefficient, oracle_coefficients,
-                        sign_discrepancies, truncation_sums)
+                        ChamberGeometry, coefficient, delta_energy, expand, oracle_coefficient,
+                        oracle_coefficients, sign_discrepancies, truncation_sums)
 from .quadrature import ConvergenceError
 from .ring import reference_state, ring_overlap, shifted_state
 
@@ -98,9 +97,10 @@ class Table:
 
 
 def _records(record_type, records) -> dict:
-    """The columns of dataclass records, by field name of ``record_type`` in
-    field order, each a numpy array. A column whose first value is a str is
-    an object array, which shares each string rather than copying it."""
+    """The columns of dataclass records (``cost``'s reports), by field name of
+    ``record_type`` in field order, each a numpy array. A column whose first
+    value is a str (``note``) is an object array, which shares each string
+    rather than copying it."""
     def column(name):
         values = [getattr(record, name) for record in records]
         return np.array(values, dtype=object if values and isinstance(values[0], str) else None)
@@ -347,7 +347,7 @@ def run_coeffs(args: argparse.Namespace):
     _check_limit("--n-trunc", n_trunc, COEFFS_N_LIMIT)
     alphas = _alphas(args, n_trunc, "--alpha-sweep count x --n-trunc")
     parts = []
-    discrepancies = []
+    logs = []
     modes = np.arange(1, n_trunc + 1)
     for alpha in alphas:
         exp_ref = expand("reference", alpha, n_trunc)
@@ -366,11 +366,14 @@ def run_coeffs(args: argparse.Namespace):
             **{f"abs_diff_{kind}": np.abs(closed[kind] - oracle[kind]) for kind in COEFF_KINDS},
             "deficit_reference": deficit, "deficit_shifted": deficit,
         })
-        discrepancies.extend(sign_discrepancies(alpha, oracle))
+        logs.append(sign_discrepancies(alpha, oracle))
+    # the logs differ in length from alpha to alpha, so they are joined into one part
+    discrepancies = Table([{name: np.concatenate([log[name] for log in logs])
+                            for name in logs[0]}])
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
-            _write_csv(Table([_records(CoeffDiscrepancy, discrepancies)]), fh)
-    elif discrepancies:
+            _write_csv(discrepancies, fh)
+    elif len(discrepancies):
         print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
     return Table(parts)

@@ -427,36 +427,27 @@ def delta_energy(n, m, alpha: float, variant: str = "nominal"):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class CoeffDiscrepancy:
-    """One sign correction made by the quadrature oracle."""
-
-    kind: str
-    n: int
-    alpha: float
-    uncorrected: float
-    oracle: float
-    adopted: float
-
-
-def sign_discrepancies(alpha: float, oracle: dict) -> list[CoeffDiscrepancy]:
+def sign_discrepancies(alpha: float, oracle: dict) -> dict:
     """Compare the uncorrected closed form of kind d against the oracle for every n.
 
     ``oracle`` is the mapping that ``oracle_coefficients(alpha, n_max)``
     returns; its kind-d values are read, for n = 1 up to their length. Only
     kind d has an uncorrected form that differs from the adopted one (it is
-    the adopted form times -1), so only d is compared. One record is returned
-    per n where the oracle refutes the uncorrected form and confirms the
-    adopted one: |uncorrected - oracle| > |adopted| >= |adopted - oracle|.
-    The rule is relative to the coefficient; it matches every n wherever the
-    oracle resolves the coefficient (down to about alpha = 1e-13).
+    the adopted form times -1), so only d is compared. The log has one row per
+    n where the oracle refutes the uncorrected form and confirms the adopted
+    one: |uncorrected - oracle| > |adopted| >= |adopted - oracle|. The rule is
+    relative to the coefficient; it matches every n wherever the oracle
+    resolves the coefficient (down to about alpha = 1e-13).
+
+    Returns the log as a mapping of column name to 1-D numpy array, in the
+    order ``kind, n, alpha, uncorrected, oracle, adopted``; ``kind`` is an
+    object array whose cells share one string, and ``n`` an int array.
     """
     exact = np.asarray(oracle["d"])
     adopted = coefficient("d", np.arange(1, exact.size + 1), alpha)
     uncorrected = -adopted
-    flipped = ((np.abs(uncorrected - exact) > np.abs(adopted))
-               & (np.abs(adopted) >= np.abs(adopted - exact)))
-    return [CoeffDiscrepancy(kind="d", n=i + 1, alpha=float(alpha),
-                             uncorrected=float(uncorrected[i]), oracle=float(exact[i]),
-                             adopted=float(adopted[i]))
-            for i in np.flatnonzero(flipped).tolist()]
+    flipped = np.flatnonzero((np.abs(uncorrected - exact) > np.abs(adopted))
+                             & (np.abs(adopted) >= np.abs(adopted - exact)))
+    return {"kind": np.full(flipped.size, "d", dtype=object), "n": flipped + 1,
+            "alpha": np.full(flipped.size, float(alpha)), "uncorrected": uncorrected[flipped],
+            "oracle": exact[flipped], "adopted": adopted[flipped]}

@@ -17,9 +17,11 @@ import pytest
 import ringsplit
 from ringsplit import cli
 from ringsplit.cli import main
-from ringsplit.discrimination import NOTE_TENSOR_MODEL, BarrierModel, post_insertion_cost
+from ringsplit.discrimination import (NOTE_TENSOR_MODEL, BarrierModel, DiscriminationReport,
+                                      post_insertion_cost)
 from ringsplit.evolution import revival_period
-from ringsplit.expansion import COEFF_KINDS, ChamberGeometry, CoeffDiscrepancy, truncation_sums
+from ringsplit.expansion import COEFF_KINDS, ChamberGeometry, truncation_sums
+from table_checks import exact_sums
 
 PI4 = repr(math.pi / 4)
 
@@ -267,6 +269,118 @@ def test_printed_coeffs_energy_sign_log_and_note_columns_obey_exact_identities(
     assert all(checked.values()), checked
 
 
+def test_printed_evolve_columns_obey_exact_identities(tmp_path, monkeypatch):
+    # every evolve run of tools/cli_digests.py, checked against the exact
+    # revival, the mirror at half the revival period and the kept chamber
+    # weight, and not against the manifest
+    tool = _load_by_path("tools", "cli_digests.py")
+    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
+    checked = dict.fromkeys(("runs", "revival", "mirror", "weight"), 0)
+    for argv, (path, *_) in tool.invocations(tmp_path):
+        if argv[0] != "evolve":
+            continue
+        assert main(argv) == 0, argv
+        checked["runs"] += 1
+        args = cli.build_parser().parse_args(argv)
+        rows = _printed_values(path)
+        assert rows and min(v["density"] for v in rows) >= 0.0, argv
+        g, fracs = args.grid_points, args.time_fracs or ()
+        sums = truncation_sums(args.alpha, args.n_trunc)
+        # the snapshots of each chamber, in time order, each g rows long
+        snapshots = {}
+        for start in range(0, len(rows), g):
+            rows_at = rows[start:start + g]
+            assert len({(v["chamber"], v["t"]) for v in rows_at}) == 1
+            snapshots.setdefault(int(rows_at[0]["chamber"]), []).append(
+                [v["density"] for v in rows_at])
+        for chamber, densities in snapshots.items():
+            at = dict(zip(fracs, densities))
+            if fracs and fracs[-1] == 1.0 and 0.0 in at:
+                assert densities[-1] == at[0.0], (argv, chamber)  # the revival is exact
+                checked["revival"] += 1
+            if 0.5 in at and 0.0 in at:
+                # psi(x, T/2) = -psi(w - x, 0) in the chamber's own coordinate
+                bound = 1e-14 * max(at[0.0])
+                assert all(abs(half - zero) <= bound
+                           for half, zero in zip(at[0.5], reversed(at[0.0]))), (argv, chamber)
+                checked["mirror"] += 1
+            if g - 1 > args.n_trunc:
+                # discrete sine orthogonality makes the trapezoid rule exact here
+                weight = (sums.weight_1, sums.weight_2)[chamber - 1]
+                h = ChamberGeometry(args.alpha).width(chamber) / (g - 1)
+                for density in densities:
+                    integral = h * (math.fsum(density) - (density[0] + density[-1]) / 2)
+                    assert abs(integral - weight) <= 4e-15 * weight, (argv, chamber)
+                    checked["weight"] += 1
+    assert all(checked.values()), checked
+
+
+def _evenly_spaced(values, count):
+    """At most ``count`` of ``values``, evenly spaced, both ends included."""
+    if len(values) <= count:
+        return list(values)
+    return [values[round(i * (len(values) - 1) / (count - 1))] for i in range(count)]
+
+
+def test_printed_sums_and_energies_match_mpmath(tmp_path, monkeypatch):
+    # the deficits, completeness sums, sum rules and overlap_after of every
+    # cost, coeffs and parseval run of tools/cli_digests.py (at most 24 alphas
+    # a run), and every delta_e of every energy run, against mpmath
+    mp = pytest.importorskip("mpmath")
+    tool = _load_by_path("tools", "cli_digests.py")
+    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
+    sums, levels = {}, {}  # shared by the CSV and JSON runs
+    checked = dict.fromkeys(("cost", "coeffs", "parseval", "energy"), 0)
+
+    def near(cell, exact, rel):
+        # the printed float itself, which mpmath holds exactly
+        return abs(float(cell) - exact) <= rel * abs(exact)
+
+    with mp.workdps(40):
+        for argv, (path, *_) in tool.invocations(tmp_path):
+            if argv[0] not in checked:
+                continue
+            assert main(argv) == 0, argv
+            args = cli.build_parser().parse_args(argv)
+            rows = _printed_rows(path)
+            assert rows, argv
+            if argv[0] == "energy":
+                offsets = {"nominal": mp.mpf(1) / 8, "conserving": mp.mpf(1) / 2}
+                names = ({f"delta_e_{v}": v for v in offsets} if args.variant == "both"
+                         else {"delta_e": args.variant})
+                for row in rows:
+                    key = float(row["alpha"]), int(row["n"]), int(row["m"])
+                    if key not in levels:
+                        a, n, m = mp.mpf(key[0]), key[1], key[2]
+                        levels[key] = mp.pi**2 / 2 * (n * n / a**2 + m * m / (2 * mp.pi - a)**2)
+                    for name, variant in names.items():
+                        assert near(row[name], levels[key] - offsets[variant], 1e-15), (argv, key)
+                    checked["energy"] += 1
+                continue
+            alphas = list(dict.fromkeys(float(row["alpha"]) for row in rows))
+            chosen = set(_evenly_spaced(alphas, 24))
+            for row in rows:
+                alpha = float(row["alpha"])
+                if alpha not in chosen:
+                    continue
+                n_trunc = int(row["n_trunc"]) if argv[0] == "parseval" else args.n_trunc
+                if (alpha, n_trunc) not in sums:
+                    sums[alpha, n_trunc] = exact_sums(mp, alpha, n_trunc)
+                exact = sums[alpha, n_trunc]
+                where = argv, alpha, n_trunc
+                for name in [name for name in row if name.startswith("deficit_")]:
+                    assert near(row[name], exact["deficit"], 1e-15), (where, name)
+                for name in [name for name in row if name.startswith("completeness_")]:
+                    assert near(row[name], exact["completeness"], 1e-15), (where, name)
+                if "sum_rule_overlap" in row:
+                    assert abs(float(row["sum_rule_overlap"]) - exact["sum_rule"]) <= 1e-15, where
+                if argv[0] == "cost":
+                    overlap_after = (mp.mpf(float(row["epsilon"]))**2 * exact["tensor"])**2
+                    assert near(row["overlap_after"], overlap_after, 5e-15), where
+                checked[argv[0]] += 1
+    assert all(checked.values()), checked
+
+
 def test_digest_tool_exits_1_when_a_run_fails(monkeypatch, capsys):
     tool = _load_by_path("tools", "cli_digests.py")
     monkeypatch.setattr(tool, "RUNS", {"bad": ["cost", "--alpha", "3.0"]})
@@ -334,7 +448,7 @@ def test_csv_run_leaves_out_json(tmp_path):
      "    assert value.__module__.startswith('ringsplit.'), name\n"
      "    assert value is getattr(sys.modules[value.__module__], name), name\n"
      "    assert getattr(ringsplit, name) is value, name\n"
-     "print(len(ringsplit.__all__))", "35\n"),
+     "print(len(ringsplit.__all__))", "34\n"),
     ("from ringsplit import *\n"
      "import ringsplit\n"
      "print([name for name in ringsplit.__all__\n"
@@ -555,7 +669,13 @@ def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypa
 
 
 def test_empty_sign_log_keeps_its_header(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "sign_discrepancies", lambda *args, **kwargs: [])
+    def confirming(alpha, oracle):
+        # an oracle that confirms the uncorrected form refutes no sign
+        n = np.arange(1, len(oracle["d"]) + 1)
+        return sign_discrepancies(alpha, {"d": -ringsplit.expansion.coefficient("d", n, alpha)})
+
+    sign_discrepancies = ringsplit.expansion.sign_discrepancies
+    monkeypatch.setattr(cli, "sign_discrepancies", confirming)
     disc = tmp_path / "disc.csv"
     code, _, _ = run_cli(["coeffs", "--n-trunc", "3", "--discrepancies", str(disc)], capsys)
     assert code == 0
@@ -929,8 +1049,10 @@ def test_table_refuses_parts_of_other_lengths():
 
 
 def test_empty_record_table_keeps_every_field_name():
-    table = cli.Table([cli._records(CoeffDiscrepancy, [])])
-    assert table.header == ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
+    table = cli.Table([cli._records(DiscriminationReport, [])])
+    assert table.header == ["alpha", "epsilon", "n_trunc", "prior", "overlap_before",
+                            "cost_before", "overlap_after", "cost_after", "deficit_reference",
+                            "deficit_shifted", "sum_rule_overlap", "note"]
     assert len(table) == 0
     assert list(table.blocks()) == []
 

@@ -133,33 +133,56 @@ def test_coefficient_rejects_bad_inputs():
 
 # ---------------------------------------------------------------- oracle sign log
 
+LOG_NAMES = ["kind", "n", "alpha", "uncorrected", "oracle", "adopted"]
+
+
+def assert_log_columns(log):
+    """The six columns of a sign log, in order: kind one shared object, n ints."""
+    assert list(log) == LOG_NAMES
+    assert len({col.shape for col in log.values()}) == 1
+    assert all(col.ndim == 1 for col in log.values())
+    assert log["kind"].dtype == object and len(set(map(id, log["kind"]))) <= 1
+    assert log["n"].dtype.kind == "i"
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 0.3, PI4, 1.3, math.pi / 2])
 def test_sign_discrepancies_enumerate_kind_d_only(alpha):
     batched = oracle_coefficients(alpha, 16)
-    records = sign_discrepancies(alpha, batched)
-    assert {r.kind for r in records} == {"d"}
-    assert [r.n for r in records] == list(range(1, 17))
-    for r in records:
-        assert abs(r.adopted - r.oracle) < 1e-10
-        assert r.uncorrected == -r.adopted
-        assert r.adopted == coefficient("d", r.n, alpha)
+    log = sign_discrepancies(alpha, batched)
+    assert_log_columns(log)
+    assert log["kind"].tolist() == ["d"] * 16
+    assert log["n"].tolist() == list(range(1, 17))
+    assert log["alpha"].tolist() == [alpha] * 16
+    assert np.all(np.abs(log["adopted"] - log["oracle"]) < 1e-10)
+    assert np.array_equal(log["uncorrected"], -log["adopted"])
+    assert log["adopted"].tolist() == [coefficient("d", n, alpha) for n in range(1, 17)]
     # the single and batched oracle routes agree bit for bit: for n <= 16
     # both integrate with the same 4-panel rule
     single = {kind: [oracle_coefficient(kind, n, alpha) for n in range(1, 17)]
               for kind in "abcd"}
     for kind in "abcd":
         assert single[kind] == batched[kind].tolist(), kind
-    # oracle values computed elsewhere give the same records, and only kind d is read
-    assert sign_discrepancies(alpha, single) == records
-    assert sign_discrepancies(alpha, {"d": single["d"]}) == records
+    # oracle values computed elsewhere give the same log, and only kind d is read
+    for oracle in (single, {"d": single["d"]}):
+        other = sign_discrepancies(alpha, oracle)
+        assert list(other) == LOG_NAMES
+        assert all(np.array_equal(other[name], log[name]) for name in LOG_NAMES)
 
 
 @pytest.mark.parametrize("alpha", [1e-13, 1e-12, 1e-9, 1e-6, 0.3, PI4, 1.5, math.pi / 2])
 def test_sign_log_records_every_kind_d_flip(alpha):
     # relative to the coefficient: an absolute tolerance misses the tiny d_n
     # of a small alpha
-    records = sign_discrepancies(alpha, oracle_coefficients(alpha, 20))
-    assert [(r.kind, r.n) for r in records] == [("d", n) for n in range(1, 21)]
+    log = sign_discrepancies(alpha, oracle_coefficients(alpha, 20))
+    assert list(zip(log["kind"].tolist(), log["n"].tolist())) == [("d", n) for n in range(1, 21)]
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 0.3, PI4, math.pi / 2])
+def test_sign_log_without_a_flip_keeps_its_six_columns(alpha):
+    # an oracle that confirms the uncorrected form refutes no sign
+    log = sign_discrepancies(alpha, {"d": -coefficient("d", np.arange(1, 9), alpha)})
+    assert_log_columns(log)
+    assert all(col.shape == (0,) for col in log.values())
 
 
 # ---------------------------------------------------------------- expand

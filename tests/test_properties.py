@@ -39,8 +39,8 @@ def test_closed_form_matches_oracle(alpha, n, kind):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(1e-3, math.pi / 2))
 def test_sign_log_is_kind_d_for_every_mode(alpha):
-    records = sign_discrepancies(alpha, oracle_coefficients(alpha, 8))
-    assert [(r.kind, r.n) for r in records] == [("d", n) for n in range(1, 9)]
+    log = sign_discrepancies(alpha, oracle_coefficients(alpha, 8))
+    assert list(zip(log["kind"].tolist(), log["n"].tolist())) == [("d", n) for n in range(1, 9)]
 
 
 #: alpha over the whole float64 range the closed forms accept, log-uniform
