@@ -21,7 +21,6 @@ if __name__ == "__main__":
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import dataclasses
 import gc
 import itertools
 import math
@@ -29,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .discrimination import BarrierModel, DiscriminationReport, post_insertion_cost
+from .discrimination import BarrierModel, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
 # oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
 from .expansion import (CANDIDATES, COEFF_KINDS, DELTA_E_VARIANTS,  # noqa: F401
@@ -94,17 +93,6 @@ class Table:
             columns = parts[0] if len(parts) == 1 else list(map(np.concatenate, zip(*parts)))
             for start in range(0, len(columns[0]), BLOCK_ROWS):
                 yield [col[start:start + BLOCK_ROWS] for col in columns]
-
-
-def _records(record_type, records) -> dict:
-    """The columns of dataclass records (``cost``'s reports), by field name of
-    ``record_type`` in field order, each a numpy array. A column whose first
-    value is a str (``note``) is an object array, which shares each string
-    rather than copying it."""
-    def column(name):
-        values = [getattr(record, name) for record in records]
-        return np.array(values, dtype=object if values and isinstance(values[0], str) else None)
-    return {field.name: column(field.name) for field in dataclasses.fields(record_type)}
 
 
 def _holds_one_value(col) -> bool:
@@ -334,10 +322,9 @@ def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) ->
 # ---------------------------------------------------------------- cost
 
 def run_cost(args: argparse.Namespace):
-    bm = BarrierModel(args.epsilon)
-    alphas = _alphas(args, 1, "--alpha-sweep count")
-    reports = [post_insertion_cost(alpha, args.n_trunc, bm) for alpha in alphas]
-    return Table([_records(DiscriminationReport, reports)])
+    alphas = np.array(_alphas(args, 1, "--alpha-sweep count"))
+    # the report's fields, in field order, are the columns of the table's one part
+    return Table([vars(post_insertion_cost(alphas, args.n_trunc, BarrierModel(args.epsilon)))])
 
 
 # ---------------------------------------------------------------- coeffs
@@ -432,12 +419,13 @@ def run_evolve(args: argparse.Namespace):
 
 def run_parseval(args: argparse.Namespace):
     count = len(args.n_trunc)
-    alphas = _alphas(args, count, "--alpha-sweep count x --n-trunc count")
+    alphas = np.array(_alphas(args, count, "--alpha-sweep count x --n-trunc count"))
     # one part of alpha x truncation rows; both candidates have the same
     # coefficient magnitudes, so the same sums
-    deficit, completeness, sum_rule = np.array([
-        (s.deficit, s.completeness, s.sum_rule) for s in
-        (truncation_sums(alpha, n_trunc) for alpha in alphas for n_trunc in args.n_trunc)]).T
+    sums = [truncation_sums(alphas, n_trunc) for n_trunc in args.n_trunc]
+    deficit, completeness, sum_rule = (
+        np.column_stack([getattr(s, name) for s in sums]).ravel()
+        for name in ("deficit", "completeness", "sum_rule"))
     target = np.repeat([ring_overlap(reference_state(), shifted_state(alpha))
                         for alpha in alphas], count)
     return Table([{

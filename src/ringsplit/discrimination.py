@@ -19,7 +19,8 @@ and shows how the tensor model differs from the single-particle overlap.
 
 ``post_insertion_cost`` reads every truncated sum from
 ``expansion.truncation_sums`` in O(1); ``build_extended`` and
-``extended_overlap`` are the same model built mode by mode.
+``extended_overlap`` are the same model built mode by mode. An array of alphas
+gives one report whose fields are columns, and an array of overlaps an array of costs.
 """
 from __future__ import annotations
 
@@ -123,14 +124,17 @@ def extended_overlap(s1: ExtendedState, s2: ExtendedState, bm: BarrierModel) -> 
     return bm.epsilon * bm.epsilon * base
 
 
-def helstrom_cost(overlap_sq: float) -> float:
+def helstrom_cost(overlap_sq):
     """Minimum expected cost for equal priors and squared overlap overlap_sq.
 
-    Cost 1 per wrong call, 0 per right one: 1/2 - 1/2*sqrt(1 - overlap_sq).
+    Cost 1 per wrong call, 0 per right one: 1/2 - 1/2*sqrt(1 - overlap_sq),
+    a float, or an array for an array of squared overlaps.
     """
-    if not (math.isfinite(overlap_sq) and 0.0 <= overlap_sq <= 1.0):
-        raise ValueError(f"squared overlap must lie in [0, 1], got {overlap_sq!r}")
-    return 0.5 - 0.5 * math.sqrt(1.0 - overlap_sq)
+    overlap_sq = np.asarray(overlap_sq, dtype=float)
+    if not np.all((0.0 <= overlap_sq) & (overlap_sq <= 1.0)):  # NaN compares False
+        raise ValueError(f"squared overlap must lie in [0, 1], got {overlap_sq}")
+    cost = 0.5 - 0.5 * np.sqrt(1.0 - overlap_sq)
+    return cost if cost.ndim else float(cost)
 
 
 def helstrom_oracle(alpha: float) -> float:
@@ -148,7 +152,8 @@ def helstrom_oracle(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class DiscriminationReport:
-    """Costs and diagnostics for one (alpha, epsilon, truncation) point.
+    """Costs and diagnostics for one (alpha, epsilon, truncation) point, or
+    columns of them, one value per alpha.
 
     Overlaps are squared magnitudes; costs obey 1/2 - 1/2*sqrt(1 - overlap).
     ``sum_rule_overlap`` is the direct-sum completeness check sum(A*C) +
@@ -170,32 +175,36 @@ class DiscriminationReport:
     note: str = ""
 
 
-def post_insertion_cost(alpha: float, n_trunc: int = 1000,
+def post_insertion_cost(alpha, n_trunc: int = 1000,
                         bm: BarrierModel = BarrierModel(0.0)) -> DiscriminationReport:
     """Full before/after report for the candidate pair at one barrier angle.
 
     O(1) in n_trunc. The candidates index opposite barriers, so their joint
     overlap is epsilon^2 times the tensor overlap of the chamber factors, as
-    ``extended_overlap`` computes it from ``build_extended`` states.
+    ``extended_overlap`` computes it from ``build_extended`` states. An array
+    of alphas gives a report whose fields are numpy arrays, one value per alpha.
     """
-    ref = reference_state()
-    sh = shifted_state(alpha)
     sums = truncation_sums(alpha, n_trunc)
-
-    overlap_before = ring_overlap(ref, sh) ** 2
-    overlap_after = (bm.epsilon * bm.epsilon * sums.tensor_overlap) ** 2
-    return DiscriminationReport(
-        alpha=float(alpha),
-        epsilon=bm.epsilon,
-        n_trunc=int(n_trunc),
-        prior=0.5,
-        overlap_before=min(1.0, overlap_before),
+    alphas = np.asarray(alpha, dtype=float)
+    ref = reference_state()
+    # cos and sin of each alpha in libm, not in numpy's own build
+    cos, sin = np.fromiter(((ring_overlap(ref, sh), math.sin(sh.offset - ref.offset))
+                            for sh in map(shifted_state, alphas.ravel().tolist())),
+                           dtype=(float, 2), count=alphas.size).T.reshape(2, *alphas.shape)
+    tensor = bm.epsilon * bm.epsilon * sums.tensor_overlap
+    overlap_after = np.minimum(1.0, tensor * tensor)
+    note = np.array("" if bm.epsilon == 0.0 else NOTE_TENSOR_MODEL, dtype=object)
+    report = DiscriminationReport(
+        # constants fill columns: an n_trunc beyond int64 makes an object array, and
+        # note's object fill puts its one string in every cell (a str would be copied)
+        alpha=alphas, epsilon=np.full(alphas.shape, bm.epsilon), note=np.full(alphas.shape, note),
+        n_trunc=np.full(alphas.shape, int(n_trunc)), prior=np.full(alphas.shape, 0.5),
+        overlap_before=np.minimum(1.0, cos * cos),
         # helstrom_cost(overlap_before) would take 1 - cos^2, which cancels at small alpha
-        cost_before=0.5 - 0.5 * abs(math.sin(sh.offset - ref.offset)),
-        overlap_after=min(1.0, overlap_after),
-        cost_after=helstrom_cost(min(1.0, overlap_after)),
-        deficit_reference=sums.deficit,
-        deficit_shifted=sums.deficit,
+        cost_before=0.5 - 0.5 * np.abs(sin),
+        overlap_after=overlap_after, cost_after=helstrom_cost(overlap_after),
+        deficit_reference=sums.deficit, deficit_shifted=sums.deficit,
         sum_rule_overlap=sums.sum_rule,
-        note="" if bm.epsilon == 0.0 else NOTE_TENSOR_MODEL,
     )
+    return report if alphas.ndim else DiscriminationReport(
+        **{name: np.asarray(value).item() for name, value in vars(report).items()})

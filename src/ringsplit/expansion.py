@@ -73,9 +73,7 @@ class ChamberGeometry:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= HALF_PI):
-            raise ValueError(
-                f"barrier angle must lie in (0, pi/2], got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
     def width(self, chamber: int) -> float:
         self._check_chamber(chamber)
@@ -91,12 +89,16 @@ class ChamberGeometry:
             raise ValueError(f"chamber must be 1 or 2, got {chamber!r}")
 
 
-def _check_alpha(alpha: float) -> float:
-    ChamberGeometry(alpha)
-    return float(alpha)
+def _check_alpha(alpha) -> np.ndarray:
+    """The alpha, or array of alphas, as float64, each checked to lie in (0, pi/2]."""
+    alpha = np.asarray(alpha, dtype=float)
+    outside = ~((0.0 < alpha) & (alpha <= HALF_PI))  # NaN compares False
+    if outside.any():
+        raise ValueError(f"barrier angle must lie in (0, pi/2], got {alpha[outside][0]}")
+    return alpha
 
 
-def _weight_scales(alpha: float) -> tuple[float, float]:
+def _weight_scales(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K1 = 2*alpha*sin(alpha)^2/pi^3 and K2 = 2*(2*pi - alpha)*sin(alpha)^2/pi^3.
 
     The squared normalized coefficients are A_n^2 = K1*f(n, alpha/pi) and
@@ -104,11 +106,14 @@ def _weight_scales(alpha: float) -> tuple[float, float]:
     alpha = 7e-103, K1 leaves the normal float64 range, and the chamber-1
     coefficients and weights lose their digits: such an alpha is rejected.
     """
-    sin_sq = math.sin(alpha) ** 2
+    # libm's sine of each alpha, which does not depend on the numpy build
+    sin = np.fromiter(map(math.sin, alpha.flat), float, alpha.size).reshape(alpha.shape)
+    sin_sq = sin * sin
     k1 = 2.0 * alpha * sin_sq / math.pi**3
-    if k1 < sys.float_info.min:
-        raise ValueError(f"alpha={alpha!r} is too small for float64: the chamber-1 "
-                         f"weight underflowed to {k1!r}")
+    under = k1 < sys.float_info.min
+    if under.any():
+        raise ValueError(f"alpha={alpha[under][0]} is too small for float64: the chamber-1 "
+                         f"weight underflowed to {k1[under][0]}")
     return k1, 2.0 * (TWO_PI - alpha) * sin_sq / math.pi**3
 
 
@@ -265,7 +270,7 @@ def _scaled_zetas(x: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _series_tail(x: int, b_sq: float) -> float:
+def _series_tail(x: int, b_sq):
     """Sum over n >= x of f(n, b), for an integer x > _DIRECT: all terms positive."""
     ratio = b_sq * (1 / (x * x))
     zetas = _scaled_zetas(x)
@@ -275,21 +280,30 @@ def _series_tail(x: int, b_sq: float) -> float:
     return acc * (1 / x)
 
 
-def _chamber_sums(n_trunc: int, c: int, delta: float) -> tuple[float, float]:
+def _chamber_sums(n_trunc: int, c: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sum over 1 <= n <= n_trunc, sum over n > n_trunc) of f(n, b), b = c - delta.
 
     f has double poles at n = +-b. Each pole distance is formed as
     (n - c) + delta and (n + c) - delta with an integer c, so a distance near 0
-    keeps its digits; rounding b itself first would lose them.
+    keeps its digits; rounding b itself first would lose them. The head terms
+    are summed with their rounding errors (TwoSum; Ogita, Rump & Oishi, SIAM J.
+    Sci. Comput. 26, 1955 (2005)), for n <= n_trunc and for n > n_trunc apart.
     """
-    head = [n * n / (((n - c) + delta) * ((n + c) - delta)) ** 2
-            for n in range(1, _DIRECT + 1)]
-    b_sq = (c - delta) ** 2
+    head = [(0.0, 0.0), (0.0, 0.0)]  # (sum, error) of n <= n_trunc, of n > n_trunc
+    for n in range(1, _DIRECT + 1):
+        distances = ((n - c) + delta) * ((n + c) - delta)
+        term = n * n / (distances * distances)
+        total, error = head[n > n_trunc]
+        rounded = total + term
+        part = rounded - total
+        head[n > n_trunc] = rounded, error + ((total - (rounded - part)) + (term - part))
+    kept, rest = (total + error for total, error in head)
+    b_sq = (c - delta) * (c - delta)
     beyond = _series_tail(_DIRECT + 1, b_sq)
     if n_trunc <= _DIRECT:
-        return math.fsum(head[:n_trunc]), math.fsum(head[n_trunc:]) + beyond
+        return kept, rest + beyond
     tail = _series_tail(n_trunc + 1, b_sq)
-    return math.fsum(head) + (beyond - tail), tail
+    return kept + (beyond - tail), tail
 
 
 @dataclass(frozen=True)
@@ -330,8 +344,9 @@ class TruncationSums:
         return (self.cross_1 / self.weight_1) * (self.cross_2 / self.weight_2)
 
 
-def truncation_sums(alpha: float, n_trunc: int) -> TruncationSums:
-    """The sums of ``TruncationSums`` for modes 1..n_trunc, in O(1) time and memory."""
+def truncation_sums(alpha, n_trunc: int) -> TruncationSums:
+    """The sums of ``TruncationSums`` for modes 1..n_trunc, in O(1) time and
+    memory per alpha; an array of alphas gives an array per field."""
     alpha = _check_alpha(alpha)
     n_trunc = _check_truncation(n_trunc)
     k1, k2 = _weight_scales(alpha)
@@ -342,11 +357,12 @@ def truncation_sums(alpha: float, n_trunc: int) -> TruncationSums:
     # sum (-1)^n f(n, b) = 2*(even modes) - all, and f(2m, b) = f(m, b/2)/4
     even1, _ = _chamber_sums(n_trunc // 2, 0, -0.5 * d)
     even2, _ = _chamber_sums(n_trunc // 2, 1, 0.5 * d)
-    return TruncationSums(
+    sums = TruncationSums(
         weight_1=k1 * s1, weight_2=k2 * s2,
         cross_1=k1 * (0.5 * even1 - s1), cross_2=k2 * (0.5 * even2 - s2),
         tail_1=k1 * t1, tail_2=k2 * t2,
     )
+    return sums if alpha.ndim else TruncationSums(*map(float, vars(sums).values()))
 
 
 def expand(candidate: str, alpha: float, n_trunc: int) -> ChamberExpansion:
@@ -409,7 +425,7 @@ def delta_energy(n, m, alpha: float, variant: str = "nominal"):
     Their difference is the constant 3*hbar^2/(8M). Positive for every (n, m)
     at alpha = pi/4 in either variant.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(_check_alpha(alpha))
     n = _levels(n)
     m = _levels(m)
     pref = math.pi**2 * HBAR**2 / (2.0 * MASS)

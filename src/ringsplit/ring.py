@@ -60,10 +60,7 @@ def ring_overlap(a: RingState, b: RingState) -> float:
     """Exact inner product <a|b> over the ring.
 
     For two rotated sines the integral is pi * cos(delta) times the two
-    normalizations, delta being the offset difference; for the candidates
-    this is cos(alpha), so the squared overlap is cos^2(alpha).
+    normalizations 1/sqrt(pi), delta being the offset difference: cos(alpha)
+    for the candidates, so the squared overlap is cos^2(alpha).
     """
-    delta = b.offset - a.offset
-    # pi * UNIT_RING_NORM**2 rounds to 0.9999999999999999, not 1; dropping the
-    # factors would change the last bit of every printed overlap_before
-    return math.pi * UNIT_RING_NORM * UNIT_RING_NORM * math.cos(delta)
+    return math.cos(b.offset - a.offset)

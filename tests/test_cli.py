@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -109,15 +110,35 @@ def test_str_column_is_not_copied_into_an_array(fmt, tmp_path, monkeypatch):
     # share that one string, and JSON must quote it a block at a time, so the
     # run's peak does not grow with its length
     peaks, notes = {}, {}
+    # one report of columns as long as the sweep, all at one alpha
+    monkeypatch.setattr(cli, "post_insertion_cost", lambda alphas, n_trunc, bm:
+                        post_insertion_cost(np.full(len(alphas), 0.7), n_trunc, bm))
     for eps in ("0", "0.5"):
-        report = post_insertion_cost(0.7, 1000, BarrierModel(float(eps)))
-        notes[eps] = report.note
-        # one real report for every alpha, so that the run does no per-alpha work
-        monkeypatch.setattr(cli, "post_insertion_cost", lambda *args, report=report: report)
+        notes[eps] = post_insertion_cost(0.7, 1000, BarrierModel(float(eps))).note
         peaks[eps] = traced_peak(["cost", "--alpha-sweep", "0.1:1.5:20000", "--epsilon", eps,
                                   "--format", fmt, "--out", str(tmp_path / f"cost.{fmt}")])
     assert notes["0"] == "" and len(notes["0.5"]) > 100
     assert abs(peaks["0.5"] - peaks["0"]) < 2**20
+
+
+def test_cost_sweep_computes_one_report_of_columns(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(alphas, *args):
+        calls.append(len(alphas))
+        return post_insertion_cost(alphas, *args)
+
+    monkeypatch.setattr(cli, "post_insertion_cost", counted)
+    assert main(["cost", "--alpha-sweep", "0.1:1.5:50", "--out", str(tmp_path / "cost.csv")]) == 0
+    assert calls == [50]
+
+
+def test_cost_sweep_peak_stays_below_a_report_per_alpha(tmp_path):
+    # the columns and their transients take about 0.2 KB per alpha; holding a
+    # DiscriminationReport per alpha until the columns were built took 0.49 KB
+    peak = traced_peak(["cost", "--alpha-sweep", "0.01:1.5:20000", "--epsilon", "0.5",
+                        "--out", str(tmp_path / "cost.csv")])
+    assert peak < 20_000 * 300
 
 
 def test_parts_are_not_joined_into_a_second_table(tmp_path, monkeypatch):
@@ -162,6 +183,30 @@ def test_tables_match_checked_in_digests(tmp_path, capsys, monkeypatch):
     assert lines == manifest.read_text().splitlines()
 
 
+def test_cost_and_parseval_tables_call_no_numpy_transcendental(tmp_path, capsys, monkeypatch):
+    # every cost and parseval run of tools/cli_digests.py, in-process, with
+    # numpy's transcendental functions refused: the tables come from IEEE
+    # arithmetic in numpy and math's sin and cos per alpha, so their bytes
+    # should not depend on the numpy build
+    tool = _load_by_path("tools", "cli_digests.py")
+    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
+    manifest = set(Path(tool.__file__).with_name("cli_digests.sha256").read_text().splitlines())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy transcendental function was called")
+
+    for name in ("sin", "cos", "tan", "exp", "log", "power"):
+        monkeypatch.setattr(np, name, refuse)
+    runs = 0
+    for argv, (path, *_) in tool.invocations(tmp_path):
+        if argv[0] in ("cost", "parseval"):
+            assert main(argv) == 0, argv
+            assert tool.digest_line(path) in manifest, argv
+            runs += 1
+    capsys.readouterr()
+    assert runs == 2 * sum(argv[0] in ("cost", "parseval") for argv in tool.RUNS.values())
+
+
 def _printed_rows(path):
     """The rows of a table the CLI wrote as CSV or JSON, as dicts of column
     name to cell: its text in CSV, its JSON value in JSON."""
@@ -201,11 +246,10 @@ def test_printed_cost_and_parseval_columns_obey_exact_identities(tmp_path, monke
                 assert v["completeness_reference"] == v["completeness_shifted"]
                 assert abs(v["deficit_reference"] + v["completeness_reference"] - 1.0) \
                     <= 8 * math.ulp(1.0)
-                assert abs(v["ring_overlap"] - math.cos(alpha)) <= 2 * math.ulp(math.cos(alpha))
+                assert v["ring_overlap"] == math.cos(alpha)
                 continue
             assert v["cost_before"] == 0.5 - 0.5 * math.sin(alpha)
-            assert abs(v["overlap_before"] - math.cos(alpha) ** 2) \
-                <= 4 * math.ulp(math.cos(alpha) ** 2)
+            assert v["overlap_before"] == min(1.0, math.cos(alpha) * math.cos(alpha))
             assert v["cost_after"] == 0.5 - 0.5 * math.sqrt(1.0 - v["overlap_after"])
             if v["epsilon"] == 0.0:
                 assert v["overlap_after"] == v["cost_after"] == 0.0
@@ -597,18 +641,23 @@ def test_heap_is_frozen_only_in_program_mode(argv, code, capsys, monkeypatch):
 
 
 def test_cost_json_mirrors_csv_fields(capsys):
-    code, out, _ = run_cli(
-        ["cost", "--alpha", PI4, "--n-trunc", "60", "--format", "json"], capsys)
+    # both formats name the columns as the fields of DiscriminationReport, in order
+    fields = ["alpha", "epsilon", "n_trunc", "prior", "overlap_before", "cost_before",
+              "overlap_after", "cost_after", "deficit_reference", "deficit_shifted",
+              "sum_rule_overlap", "note"]
+    assert [field.name for field in dataclasses.fields(DiscriminationReport)] == fields
+    argv = ["cost", "--alpha", PI4, "--n-trunc", "60"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert read_csv_text(out)[0] == fields
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
     assert code == 0
     records = json.loads(out)
     assert len(records) == 1
     rec = records[0]
     assert rec["n_trunc"] == 60
     assert rec["cost_after"] == 0.0
-    assert set(rec) == {"alpha", "epsilon", "n_trunc", "prior", "overlap_before",
-                        "cost_before", "overlap_after", "cost_after",
-                        "deficit_reference", "deficit_shifted",
-                        "sum_rule_overlap", "note"}
+    assert list(rec) == fields
 
 
 # ---------------------------------------------------------------- coeffs
@@ -1046,15 +1095,6 @@ def test_table_refuses_parts_of_other_names(second):
 def test_table_refuses_parts_of_other_lengths():
     with pytest.raises(AssertionError, match="columns differ in length"):
         cli.Table([{"a": np.array([1.0])}, {"a": np.array([2.0, 3.0])}])
-
-
-def test_empty_record_table_keeps_every_field_name():
-    table = cli.Table([cli._records(DiscriminationReport, [])])
-    assert table.header == ["alpha", "epsilon", "n_trunc", "prior", "overlap_before",
-                            "cost_before", "overlap_after", "cost_after", "deficit_reference",
-                            "deficit_shifted", "sum_rule_overlap", "note"]
-    assert len(table) == 0
-    assert list(table.blocks()) == []
 
 
 @pytest.mark.parametrize("argv", [

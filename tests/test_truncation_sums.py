@@ -1,8 +1,10 @@
 """O(1) truncation sums: against mpmath, against the exact N -> infinity limits,
 and without O(N) memory."""
+import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ringsplit import BarrierModel, post_insertion_cost, truncation_sums
@@ -66,3 +68,50 @@ def test_huge_truncation_allocates_nothing_of_size_n():
         tracemalloc.stop()
     assert peak < 2**20
     assert 0.0 < report.deficit_reference < 1e-12
+
+
+SWEEP = np.array([1e-100, 1e-6, 1e-3, 0.3, math.pi / 4, 1.3, math.pi / 2,
+                  *np.linspace(0.01, 1.5, 41)])
+
+
+@pytest.mark.parametrize("n_trunc", [1, 19, 20, 21, 1000, 10**12, 10**20])
+def test_array_of_alphas_gives_the_float_sums_bit_for_bit(n_trunc):
+    sums = truncation_sums(SWEEP, n_trunc)
+    each = [truncation_sums(alpha, n_trunc) for alpha in SWEEP.tolist()]
+    for field in dataclasses.fields(sums):
+        values = [getattr(s, field.name) for s in each]
+        assert all(type(value) is float for value in values), field.name
+        assert np.array_equal(getattr(sums, field.name), values), (n_trunc, field.name)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+@pytest.mark.parametrize("n_trunc", [20, 1000, 10**20])
+def test_array_of_alphas_gives_the_float_reports_as_columns(epsilon, n_trunc):
+    report = post_insertion_cost(SWEEP, n_trunc, BarrierModel(epsilon))
+    each = [post_insertion_cost(alpha, n_trunc, BarrierModel(epsilon))
+            for alpha in SWEEP.tolist()]
+    for field in dataclasses.fields(report):
+        column = getattr(report, field.name)
+        values = [getattr(r, field.name) for r in each]
+        # one alpha keeps the Python types; an array gives a column per field
+        assert {type(value) for value in values} == \
+            {{"n_trunc": int, "note": str}.get(field.name, float)}, field.name
+        assert isinstance(column, np.ndarray) and column.shape == SWEEP.shape, field.name
+        assert np.array_equal(column, values), (n_trunc, field.name)
+    # every cell of the note column is the one string of the float report
+    assert {id(note) for note in report.note} == {id(each[0].note)}
+
+
+@pytest.mark.parametrize("bad,message", [
+    (2.0, "barrier angle must lie in (0, pi/2], got 2.0"),
+    (0.0, "barrier angle must lie in (0, pi/2], got 0.0"),
+    (-0.1, "barrier angle must lie in (0, pi/2], got -0.1"),
+    (math.nan, "barrier angle must lie in (0, pi/2], got nan"),
+    (1e-200, "alpha=1e-200 is too small for float64"),
+])
+@pytest.mark.parametrize("call", [truncation_sums, post_insertion_cost])
+def test_array_with_one_bad_alpha_raises_naming_it(call, bad, message):
+    alphas = np.array([0.3, math.pi / 4, bad, 1.2, 1e-5])
+    with pytest.raises(ValueError) as excinfo:
+        call(alphas, 100)
+    assert str(excinfo.value).startswith(message)

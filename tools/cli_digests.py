@@ -12,9 +12,11 @@ and after a change and compare the two outputs: a refactor that keeps the
 tables byte-identical prints the same lines. Exits 1 if any run fails.
 
 ``cli_digests.sha256`` next to this script holds the lines of the current
-tables, generated with numpy 2.4.6 (columns computed through numpy's ``sin``,
-``exp`` or FFT may differ in the last bit on another numpy), and the test
-suite checks them; a change that moves bytes on purpose regenerates it with
+tables, generated with numpy 2.4.6, and the test suite checks them. The
+columns that ``coeffs`` and ``evolve`` compute through numpy's ``sin``,
+``exp`` or FFT may differ in the last bit on another numpy; ``cost`` and
+``parseval`` call none of these, which a test checks. A change that moves
+bytes on purpose regenerates the file with
 ``python3 tools/cli_digests.py > tools/cli_digests.sha256``.
 """
 from __future__ import annotations
@@ -69,6 +71,12 @@ RUNS = {
     "coeffs-small-parts": ["coeffs", "--alpha-sweep", "0.3:1.5:300", "--n-trunc", "14"],
     "parseval-small-parts": ["parseval", "--alpha-sweep", "0.01:1.5:2100", "--n-trunc",
                              "10,100000000000000000000"],
+    # more rows than cli.BLOCK_ROWS, all in the head-only branch of N <= 20, at epsilon > 0
+    "cost-blocks": ["cost", "--alpha-sweep", "0.001:1.57:5000", "--n-trunc", "20",
+                    "--epsilon", "0.5"],
+    # an --n-trunc beyond int64, so cost's n_trunc column is an object array of ints
+    "cost-bigint": ["cost", "--alpha-sweep", "0.3:1.5:3", "--n-trunc",
+                    "100000000000000000000", "--epsilon", "0.5"],
 }
 
 
