@@ -65,10 +65,11 @@ DEFAULT_TIME_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 class Table:
     """A table as the parts it was computed in: mappings of column name to
-    column, one per alpha, or per chamber and time. ``header`` is the first
-    part's names, each part's columns are held by those names, uncopied, and
-    ``len()`` is the number of rows. Every part has the same names, in any
-    order.
+    column, one per group of alphas, per alpha, or per chamber and time.
+    ``header`` is the first part's names, each part's columns are held by
+    those names, uncopied, and ``len()`` is the sum of the parts' row counts.
+    Every part has the same names, in any order; the columns of one part have
+    one length, and parts may differ in length.
 
     A column is a 1-D numpy array: of floats, of ints, or of objects, which
     hold text and ints beyond int64.
@@ -78,21 +79,19 @@ class Table:
         self.header = list(parts[0])
         assert all(part.keys() == parts[0].keys() for part in parts), "parts differ in names"
         self.parts = [[part[name] for name in self.header] for part in parts]
-        assert len(set(map(len, itertools.chain(*self.parts)))) == 1, "columns differ in length"
+        assert all(len(set(map(len, part))) == 1 for part in self.parts), \
+            "columns differ in length"
 
     def __len__(self) -> int:
-        return len(self.parts) * len(self.parts[0][0])
+        return sum(len(part[0]) for part in self.parts)
 
     def blocks(self):
-        """The columns of at most BLOCK_ROWS rows at a time, in row order. A
-        part of BLOCK_ROWS rows or more is sliced; smaller ones are joined as
-        many as fill one block, so no join copies more than one block."""
-        group = max(1, BLOCK_ROWS // max(len(self.parts[0][0]), 1))
-        for first in range(0, len(self.parts), group):
-            parts = self.parts[first:first + group]
-            columns = parts[0] if len(parts) == 1 else list(map(np.concatenate, zip(*parts)))
-            for start in range(0, len(columns[0]), BLOCK_ROWS):
-                yield [col[start:start + BLOCK_ROWS] for col in columns]
+        """The columns of at most BLOCK_ROWS rows at a time, in row order:
+        each part sliced into views, with a partial last block per part. No
+        block spans two parts, so none is a copy."""
+        for part in self.parts:
+            for start in range(0, len(part[0]), BLOCK_ROWS):
+                yield [col[start:start + BLOCK_ROWS] for col in part]
 
 
 def _holds_one_value(col) -> bool:
@@ -207,13 +206,14 @@ def _parse_sweep(raw: str) -> tuple[float, float, int]:
     return start, stop, count
 
 
-def _alphas(args: argparse.Namespace, rows_per_alpha: int,
-            row_flags: str) -> tuple[float, ...]:
+def _alphas(args: argparse.Namespace, rows_per_alpha: int, row_flags: str) -> np.ndarray:
     """The alphas of --alpha or --alpha-sweep.
 
     Each alpha gives ``rows_per_alpha`` rows of the table; the row count, with
     ``row_flags`` naming the flags that set it, is checked against ROW_LIMIT,
     and the sweep's ends against the range of alpha, before the sweep is built.
+    A command that takes one alpha at a time takes it from ``.tolist()``: a
+    Python float, whose repr in an error message is the plain number.
     """
     if args.alpha_sweep is None:
         start = stop = math.pi / 4.0 if args.alpha is None else args.alpha
@@ -224,7 +224,7 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int,
     # the library's range check on the ends, which bound every alpha of the sweep
     for end in (start, stop)[:count]:
         ChamberGeometry(end)
-    return tuple(np.linspace(start, stop, count).tolist())
+    return np.linspace(start, stop, count)
 
 
 def _number_list(cast):
@@ -322,7 +322,7 @@ def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) ->
 # ---------------------------------------------------------------- cost
 
 def run_cost(args: argparse.Namespace):
-    alphas = np.array(_alphas(args, 1, "--alpha-sweep count"))
+    alphas = _alphas(args, 1, "--alpha-sweep count")
     # the report's fields, in field order, are the columns of the table's one part
     return Table([vars(post_insertion_cost(alphas, args.n_trunc, BarrierModel(args.epsilon)))])
 
@@ -336,7 +336,7 @@ def run_coeffs(args: argparse.Namespace):
     parts = []
     logs = []
     modes = np.arange(1, n_trunc + 1)
-    for alpha in alphas:
+    for alpha in alphas.tolist():
         exp_ref = expand("reference", alpha, n_trunc)
         exp_sh = expand("shifted", alpha, n_trunc)
         # both candidates have the same coefficient magnitudes, so the same deficit
@@ -354,9 +354,8 @@ def run_coeffs(args: argparse.Namespace):
             "deficit_reference": deficit, "deficit_shifted": deficit,
         })
         logs.append(sign_discrepancies(alpha, oracle))
-    # the logs differ in length from alpha to alpha, so they are joined into one part
-    discrepancies = Table([{name: np.concatenate([log[name] for log in logs])
-                            for name in logs[0]}])
+    # one part per alpha: the logs differ in length from alpha to alpha
+    discrepancies = Table(logs)
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
             _write_csv(discrepancies, fh)
@@ -376,16 +375,23 @@ def run_energy(args: argparse.Namespace):
     both = args.variant == "both"
     variants = DELTA_E_VARIANTS if both else (args.variant,)
     idx = np.arange(1, nm_max + 1)
-    # (n, m) flattened with n outer and m inner
-    n, m = np.repeat(idx, nm_max), np.tile(idx, nm_max)
+    # one part per group of alphas, of at most a block of rows unless one
+    # alpha's grid is larger; each part's (n, m), flattened with alpha outer,
+    # n next and m inner, is a view of one tiled pair
+    group = min(max(1, BLOCK_ROWS // nm_max**2), len(alphas))
+    n = np.tile(np.repeat(idx, nm_max), group)
+    m = np.tile(idx, nm_max * group)
     parts = []
-    for alpha in alphas:
-        values = [delta_energy(idx[:, None], idx, alpha, variant=v).ravel() for v in variants]
+    for first in range(0, len(alphas), group):
+        block = alphas[first:first + group]
+        alpha = np.repeat(block, nm_max**2)
+        values = [delta_energy(idx[:, None], idx, block[:, None, None], variant=v).ravel()
+                  for v in variants]
         columns = {f"delta_e_{v}" if both else "delta_e": col
                    for v, col in zip(variants, values)}
         if both:
             columns["variant_difference"] = values[0] - values[1]
-        parts.append({"alpha": np.full(nm_max**2, alpha), "n": n, "m": m, **columns})
+        parts.append({"alpha": alpha, "n": n[:alpha.size], "m": m[:alpha.size], **columns})
     return Table(parts)
 
 
@@ -401,7 +407,7 @@ def run_evolve(args: argparse.Namespace):
                      "--alpha-sweep count x --grid-points x times x chambers")
     if len(alphas) != 1:
         raise ValueError("evolve takes a single --alpha, not a sweep")
-    alpha = alphas[0]
+    (alpha,) = alphas.tolist()
     expansion = expand(args.candidate, alpha, args.n_trunc)
     parts = []
     for chamber in chambers:
@@ -419,7 +425,7 @@ def run_evolve(args: argparse.Namespace):
 
 def run_parseval(args: argparse.Namespace):
     count = len(args.n_trunc)
-    alphas = np.array(_alphas(args, count, "--alpha-sweep count x --n-trunc count"))
+    alphas = _alphas(args, count, "--alpha-sweep count x --n-trunc count")
     # one part of alpha x truncation rows; both candidates have the same
     # coefficient magnitudes, so the same sums
     sums = [truncation_sums(alphas, n_trunc) for n_trunc in args.n_trunc]

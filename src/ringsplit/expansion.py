@@ -415,7 +415,7 @@ def single_well_projection(state: RingState, n: int) -> float:
 DELTA_E_VARIANTS = ("nominal", "conserving")
 
 
-def delta_energy(n, m, alpha: float, variant: str = "nominal"):
+def delta_energy(n, m, alpha, variant: str = "nominal"):
     """Energy transferred by the non-nodal barrier when the candidate lands on
     chamber modes (n, m).
 
@@ -424,21 +424,33 @@ def delta_energy(n, m, alpha: float, variant: str = "nominal"):
     ``conserving`` subtracts the actual pre-insertion ring energy hbar^2/(2M).
     Their difference is the constant 3*hbar^2/(8M). Positive for every (n, m)
     at alpha = pi/4 in either variant.
+
+    ``n``, ``m`` and ``alpha`` broadcast together, so an array of alphas of
+    shape (k, 1, 1) against n of shape (N, 1) and m of shape (M,) gives one
+    (N, M) grid per alpha. An alpha whose levels overflow is named in the
+    error, the first one in row order.
     """
-    alpha = float(_check_alpha(alpha))
+    alpha = _check_alpha(alpha)
     n = _levels(n)
     m = _levels(m)
     pref = math.pi**2 * HBAR**2 / (2.0 * MASS)
     if variant not in DELTA_E_VARIANTS:
         raise ValueError(f"variant must be one of {DELTA_E_VARIANTS}, got {variant!r}")
+    # Python's float power (C pow) of each alpha: numpy's x*x differs from it
+    # in the last bit at some alphas (2*pi - 1.0354838709677419)
+    alphas = alpha.ravel().tolist()
+    width_sq_1 = np.reshape([a**2 for a in alphas], alpha.shape)
+    width_sq_2 = np.reshape([(TWO_PI - a) ** 2 for a in alphas], alpha.shape)
     with np.errstate(over="ignore", divide="ignore"):
-        chambers = pref * (n * n / alpha**2 + m * m / (TWO_PI - alpha) ** 2)
+        chambers = pref * (n * n / width_sq_1 + m * m / width_sq_2)
         if variant == "nominal":
             out = chambers - pref / (4.0 * math.pi**2)
         else:
             out = chambers - HBAR**2 / (2.0 * MASS)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"energy transfer overflows at alpha={alpha!r}: the "
+    overflow = ~np.isfinite(out)
+    if overflow.any():
+        first = float(np.broadcast_to(alpha, out.shape)[overflow][0])
+        raise ValueError(f"energy transfer overflows at alpha={first!r}: the "
                          "chamber levels are not finite numbers")
     return out if out.ndim else float(out)
 

@@ -787,18 +787,24 @@ def test_energy_single_variant_column(capsys):
     ("both", ["nominal", "conserving"]),
 ])
 def test_energy_computes_only_the_variants_asked_for(variant, per_alpha, capsys, monkeypatch):
-    variants = []
+    # one call per variant asked for and group of BLOCK_ROWS // nm_max**2
+    # alphas, with each alpha in one group
+    calls = []
 
     def counted(n, m, alpha, variant):
-        variants.append(variant)
+        calls.append((variant, alpha.ravel().tolist()))
         return delta_energy(n, m, alpha, variant=variant)
 
     delta_energy = cli.delta_energy
     monkeypatch.setattr(cli, "delta_energy", counted)
-    code, _, _ = run_cli(["energy", "--alpha-sweep", "0.3:1.5:3", "--nm-max", "4",
+    code, _, _ = run_cli(["energy", "--alpha-sweep", "0.3:1.5:600", "--nm-max", "4",
                           "--variant", variant], capsys)
     assert code == 0
-    assert variants == per_alpha * 3
+    alphas = np.linspace(0.3, 1.5, 600).tolist()
+    group = cli.BLOCK_ROWS // 4**2
+    groups = [alphas[first:first + group] for first in range(0, len(alphas), group)]
+    assert len(groups) == 3
+    assert calls == [(v, part) for part in groups for v in per_alpha]
 
 
 # ---------------------------------------------------------------- evolve
@@ -866,9 +872,11 @@ def test_tiny_alpha_exits_2_with_the_cause(argv, cause, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["energy", "--alpha-sweep", "1.5:1e-160:3", "--nm-max", "2"],
+    # three parts of 1024, 1024 and 952 alphas; only the last alpha overflows
+    ["energy", "--alpha-sweep", "1.5:1e-160:3000", "--nm-max", "2"],
     ["evolve", "--times", "0,1e30", "--n-trunc", "10", "--grid-points", "3"],
     ["coeffs", "--alpha-sweep", "1.5:1e-150:3", "--n-trunc", "2"],
-], ids=["energy", "evolve", "coeffs"])
+], ids=["energy", "energy-groups", "evolve", "coeffs"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_failure_in_a_later_part_writes_no_rows(argv, to_file, tmp_path, capsys):
     # the first part computes; a later one fails, and no row of the first is written
@@ -1046,8 +1054,7 @@ def test_writers_format_constant_columns_as_each_row_would(n_rows, varying):
     lambda n_rows: constant_block_table(n_rows, False),
 ], ids=["synthetic", "constant-varying", "all-constant"])
 def test_writers_match_references_over_many_parts(make, part_rows):
-    # parts smaller than a block are joined into blocks that end inside a
-    # part; larger ones are sliced, with a partial last block per part
+    # each part is sliced into blocks, with a partial last block per part
     n_rows = -(-(2 * cli.BLOCK_ROWS + 5) // part_rows) * part_rows
     columns, rows = make(n_rows)
     parts = [{name: col[start:start + part_rows] for name, col in columns.items()}
@@ -1073,14 +1080,20 @@ def test_table_of_one_part_keeps_its_columns():
     assert np.shares_memory(block[0], part["x"]) and np.shares_memory(block[2], part["k"])
 
 
-def test_table_joins_parts_by_name_in_the_first_parts_order():
-    first = {"b": np.array([1.0]), "a": np.array([2])}
+def test_table_slices_parts_by_name_in_the_first_parts_order():
+    # every block is a view of one part: none crosses from one part into the next
+    first = {"b": np.arange(cli.BLOCK_ROWS + 2.0), "a": np.arange(cli.BLOCK_ROWS + 2)}
     second = {"a": np.array([3]), "b": np.array([5.0])}
     table = cli.Table([first, second])
     assert table.header == ["b", "a"]
-    assert len(table) == 2
-    assert [[col.tolist() for col in block] for block in table.blocks()] == \
-        [[[1.0, 5.0], [2, 3]]]
+    assert len(table) == cli.BLOCK_ROWS + 3
+    blocks = list(table.blocks())
+    assert [len(block[0]) for block in blocks] == [cli.BLOCK_ROWS, 2, 1]
+    for block, part in zip(blocks, (first, first, second)):
+        assert all(np.shares_memory(col, part[name]) for name, col in zip(table.header, block))
+    assert [[col.tolist() for col in block] for block in blocks[1:]] == \
+        [[[cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1.0], [cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1]],
+         [[5.0], [3]]]
 
 
 @pytest.mark.parametrize("second", [
@@ -1092,9 +1105,13 @@ def test_table_refuses_parts_of_other_names(second):
         cli.Table([{"a": np.array([1.0]), "b": np.array([5.0])}, second])
 
 
-def test_table_refuses_parts_of_other_lengths():
+def test_table_takes_parts_but_not_columns_of_other_lengths():
+    table = cli.Table([{"a": np.array([1.0]), "b": np.array([4])},
+                       {"a": np.array([2.0, 3.0]), "b": np.array([5, 6])}])
+    assert len(table) == 3
     with pytest.raises(AssertionError, match="columns differ in length"):
-        cli.Table([{"a": np.array([1.0])}, {"a": np.array([2.0, 3.0])}])
+        cli.Table([{"a": np.array([1.0]), "b": np.array([4])},
+                   {"a": np.array([2.0, 3.0]), "b": np.array([5])}])
 
 
 @pytest.mark.parametrize("argv", [

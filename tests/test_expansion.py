@@ -311,6 +311,9 @@ def test_delta_energy_frozen_values():
     assert abs(delta_energy(1, 1, PI4, variant="nominal") - 8.03826530612245) < 1e-12
     assert abs(delta_energy(1, 1, PI4, variant="conserving")
                - 7.663265306122449) < 1e-12
+    # each alpha is squared with Python's x**2: numpy's x*x of
+    # 2*pi - 1.0354838709677419 is one ulp off and moves this cell to 6.090162237125851
+    assert delta_energy(1, 3, 1.0354838709677419) == 6.09016223712585
 
 
 def test_delta_energy_variant_difference_constant():
@@ -337,3 +340,28 @@ def test_delta_energy_strictly_monotone():
 def test_delta_energy_rejects_unknown_variant():
     with pytest.raises(ValueError):
         delta_energy(1, 1, PI4, variant="exotic")
+
+
+@pytest.mark.parametrize("variant", ["nominal", "conserving"])
+def test_delta_energy_of_an_array_of_alphas_equals_the_float_calls_bit_for_bit(variant):
+    alphas = np.array([1e-150, 1e-6, 0.3, 1.0354838709677419, PI4,
+                       math.nextafter(math.pi / 2, 0.0), math.pi / 2])
+    n, m = np.arange(1, 21)[:, None], np.arange(1, 21)
+    grids = delta_energy(n, m, alphas[:, None, None], variant=variant)
+    calls = np.array([delta_energy(n, m, alpha, variant=variant) for alpha in alphas.tolist()])
+    assert grids.shape == (alphas.size, 20, 20)
+    assert grids.tobytes() == calls.tobytes()
+    cells = delta_energy(1, 3, alphas, variant=variant)
+    assert cells.tobytes() == np.array([delta_energy(1, 3, float(alpha), variant=variant)
+                                        for alpha in alphas]).tobytes()
+
+
+def test_delta_energy_overflow_names_the_first_alpha_that_overflows():
+    # alpha**2 is subnormal at 1e-160 and 0 at 1e-170: both levels overflow
+    with pytest.raises(ValueError, match=r"overflows at alpha=1e-170:"):
+        delta_energy(np.arange(1, 4)[:, None], np.arange(1, 4),
+                     np.array([0.5, 1e-170, 1e-160])[:, None, None])
+    with pytest.raises(ValueError, match=r"overflows at alpha=1e-160:"):
+        delta_energy(1, 1, np.array([0.5, 1e-160, 1e-170]))
+    with pytest.raises(ValueError, match=r"overflows at alpha=1e-300:"):
+        delta_energy(1, 1, 1e-300)

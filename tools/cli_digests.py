@@ -65,8 +65,10 @@ RUNS = {
     # an --n-trunc beyond int64, so the n_trunc column is an object array of ints
     "parseval-bigint": ["parseval", "--alpha-sweep", "0.3:1.5:2", "--n-trunc",
                         "100,100000000000000000000"],
-    # many parts of a few rows each, so that a block of cli.BLOCK_ROWS rows
-    # ends inside a part; the last one also has an n_trunc beyond int64
+    # many alphas of a few rows each: energy's fill one part of cli.BLOCK_ROWS
+    # rows and part of a second, coeffs' are one part of 14 rows each, and
+    # parseval's one part has a block that ends inside it; the last one also
+    # has an n_trunc beyond int64
     "energy-small-parts": ["energy", "--alpha-sweep", "0.3:1.5:1500", "--nm-max", "2"],
     "coeffs-small-parts": ["coeffs", "--alpha-sweep", "0.3:1.5:300", "--n-trunc", "14"],
     "parseval-small-parts": ["parseval", "--alpha-sweep", "0.01:1.5:2100", "--n-trunc",
@@ -77,6 +79,10 @@ RUNS = {
     # an --n-trunc beyond int64, so cost's n_trunc column is an object array of ints
     "cost-bigint": ["cost", "--alpha-sweep", "0.3:1.5:3", "--n-trunc",
                     "100000000000000000000", "--epsilon", "0.5"],
+    # one energy part of 32 alphas of 100 rows each; at alpha =
+    # 1.0354838709677419 numpy's x*x of 2*pi - alpha differs in the last bit
+    # from Python's x**2
+    "energy-groups": ["energy", "--alpha-sweep", "0.3:1.5:32", "--nm-max", "10"],
 }
 
 
