@@ -35,7 +35,7 @@ from .expansion import (CANDIDATES, COEFF_KINDS, DELTA_E_VARIANTS,  # noqa: F401
                         ChamberGeometry, coefficient, delta_energy, expand, oracle_coefficient,
                         oracle_coefficients, sign_discrepancies, truncation_sums)
 from .quadrature import ConvergenceError
-from .ring import reference_state, ring_overlap, shifted_state
+from .ring import TWO_PI, reference_state, ring_overlap, shifted_state
 
 ENV_CONFIG = "RINGSPLIT_CONFIG"
 #: exit code when stdout's reader closes early: 128 + SIGPIPE, as a shell
@@ -65,7 +65,8 @@ DEFAULT_TIME_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 class Table:
     """A table as the parts it was computed in: mappings of column name to
-    column, one per group of alphas, per alpha, or per chamber and time.
+    column, one for the whole sweep, per group of alphas, or per chamber and
+    time.
     ``header`` is the first part's names, each part's columns are held by
     those names, uncopied, and ``len()`` is the sum of the parts' row counts.
     Every part has the same names, in any order; the columns of one part have
@@ -212,8 +213,10 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int, row_flags: str) -> np
     Each alpha gives ``rows_per_alpha`` rows of the table; the row count, with
     ``row_flags`` naming the flags that set it, is checked against ROW_LIMIT,
     and the sweep's ends against the range of alpha, before the sweep is built.
-    A command that takes one alpha at a time takes it from ``.tolist()``: a
-    Python float, whose repr in an error message is the plain number.
+    The commands take the sweep whole or in ``_groups``; where one alpha is
+    taken at a time (``evolve``'s one alpha, ``coeffs``' oracle), it comes
+    from ``.tolist()``: a Python float, whose repr in an error message is the
+    plain number.
     """
     if args.alpha_sweep is None:
         start = stop = math.pi / 4.0 if args.alpha is None else args.alpha
@@ -225,6 +228,13 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int, row_flags: str) -> np
     for end in (start, stop)[:count]:
         ChamberGeometry(end)
     return np.linspace(start, stop, count)
+
+
+def _groups(alphas: np.ndarray, rows_per_alpha: int) -> list[np.ndarray]:
+    """The sweep as views of consecutive alphas, one per table part: each
+    group gives at most BLOCK_ROWS rows, or one alpha where its rows are more."""
+    size = max(1, BLOCK_ROWS // rows_per_alpha)
+    return [alphas[first:first + size] for first in range(0, len(alphas), size)]
 
 
 def _number_list(cast):
@@ -333,28 +343,33 @@ def run_coeffs(args: argparse.Namespace):
     n_trunc = args.n_trunc
     _check_limit("--n-trunc", n_trunc, COEFFS_N_LIMIT)
     alphas = _alphas(args, n_trunc, "--alpha-sweep count x --n-trunc")
+    modes = np.arange(1, n_trunc + 1)
+    groups = _groups(alphas, n_trunc)
+    # each part's n, flattened with alpha outer and n inner, is a view of one tiled column
+    n = np.tile(modes, len(groups[0]))
     parts = []
     logs = []
-    modes = np.arange(1, n_trunc + 1)
-    for alpha in alphas.tolist():
-        exp_ref = expand("reference", alpha, n_trunc)
-        exp_sh = expand("shifted", alpha, n_trunc)
+    for group in groups:
+        closed = {kind: coefficient(kind, modes, group[:, None]) for kind in COEFF_KINDS}
+        # norm_k is k on its chamber's orthonormal modes, sqrt(2 pi / width) * k:
+        # kinds a and c lie in chamber 1 of width alpha, b and d in chamber 2
+        widths = dict(zip(COEFF_KINDS, (group, TWO_PI - group) * 2))
+        # one batched quadrature per chamber and alpha, shared by the table and the sign check
+        oracles = [oracle_coefficients(alpha, n_trunc) for alpha in group.tolist()]
+        oracle = {kind: np.stack([values[kind] for values in oracles]) for kind in COEFF_KINDS}
         # both candidates have the same coefficient magnitudes, so the same deficit
-        deficit = np.full(n_trunc, truncation_sums(alpha, n_trunc).deficit)
-        # one batched quadrature per chamber, shared by the table and the sign check
-        oracle = oracle_coefficients(alpha, n_trunc)
-        closed = {kind: coefficient(kind, modes, alpha) for kind in COEFF_KINDS}
-        normalized = (exp_ref.norm_coeffs_1, exp_ref.norm_coeffs_2,
-                      exp_sh.norm_coeffs_1, exp_sh.norm_coeffs_2)
+        deficit = np.repeat(truncation_sums(group, n_trunc).deficit, n_trunc)
         parts.append({
-            "alpha": np.full(n_trunc, alpha), "n": modes, **closed,
-            **{f"norm_{kind}": col for kind, col in zip(COEFF_KINDS, normalized)},
-            **{f"oracle_{kind}": oracle[kind] for kind in COEFF_KINDS},
-            **{f"abs_diff_{kind}": np.abs(closed[kind] - oracle[kind]) for kind in COEFF_KINDS},
+            "alpha": np.repeat(group, n_trunc), "n": n[:group.size * n_trunc],
+            **{kind: closed[kind].ravel() for kind in COEFF_KINDS},
+            **{f"norm_{kind}": (np.sqrt(TWO_PI / widths[kind])[:, None] * closed[kind]).ravel()
+               for kind in COEFF_KINDS},
+            **{f"oracle_{kind}": oracle[kind].ravel() for kind in COEFF_KINDS},
+            **{f"abs_diff_{kind}": np.abs(closed[kind] - oracle[kind]).ravel()
+               for kind in COEFF_KINDS},
             "deficit_reference": deficit, "deficit_shifted": deficit,
         })
-        logs.append(sign_discrepancies(alpha, oracle))
-    # one part per alpha: the logs differ in length from alpha to alpha
+        logs.append(sign_discrepancies(group[:, None], oracle))
     discrepancies = Table(logs)
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
@@ -375,15 +390,13 @@ def run_energy(args: argparse.Namespace):
     both = args.variant == "both"
     variants = DELTA_E_VARIANTS if both else (args.variant,)
     idx = np.arange(1, nm_max + 1)
-    # one part per group of alphas, of at most a block of rows unless one
-    # alpha's grid is larger; each part's (n, m), flattened with alpha outer,
-    # n next and m inner, is a view of one tiled pair
-    group = min(max(1, BLOCK_ROWS // nm_max**2), len(alphas))
-    n = np.tile(np.repeat(idx, nm_max), group)
-    m = np.tile(idx, nm_max * group)
+    groups = _groups(alphas, nm_max**2)
+    # each part's (n, m), flattened with alpha outer, n next and m inner, is a
+    # view of one tiled pair
+    n = np.tile(np.repeat(idx, nm_max), len(groups[0]))
+    m = np.tile(idx, nm_max * len(groups[0]))
     parts = []
-    for first in range(0, len(alphas), group):
-        block = alphas[first:first + group]
+    for block in groups:
         alpha = np.repeat(block, nm_max**2)
         values = [delta_energy(idx[:, None], idx, block[:, None, None], variant=v).ravel()
                   for v in variants]

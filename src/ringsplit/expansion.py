@@ -98,8 +98,8 @@ def _check_alpha(alpha) -> np.ndarray:
     return alpha
 
 
-def _weight_scales(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K1 = 2*alpha*sin(alpha)^2/pi^3 and K2 = 2*(2*pi - alpha)*sin(alpha)^2/pi^3.
+def _weight_scales(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin(alpha), K1 = 2*alpha*sin(alpha)^2/pi^3 and K2 = 2*(2*pi - alpha)*sin(alpha)^2/pi^3.
 
     The squared normalized coefficients are A_n^2 = K1*f(n, alpha/pi) and
     B_n^2 = K2*f(n, 2 - alpha/pi), f(n, b) = n^2/(n^2 - b^2)^2. Below about
@@ -114,7 +114,7 @@ def _weight_scales(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if under.any():
         raise ValueError(f"alpha={alpha[under][0]} is too small for float64: the chamber-1 "
                          f"weight underflowed to {k1[under][0]}")
-    return k1, 2.0 * (TWO_PI - alpha) * sin_sq / math.pi**3
+    return sin, k1, 2.0 * (TWO_PI - alpha) * sin_sq / math.pi**3
 
 
 def _check_truncation(n_trunc) -> int:
@@ -152,17 +152,17 @@ def _kind(kind: str) -> tuple[int, bool, bool]:
         raise ValueError(f"kind must be one of {COEFF_KINDS}, got {kind!r}") from None
 
 
-def _closed_form(chamber: int, n: np.ndarray, alpha: float) -> np.ndarray:
+def _closed_form(chamber: int, n: np.ndarray, alpha: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """c_n = alpha*n/(alpha^2 - pi^2 n^2) * sin(alpha) in chamber 1, and
     b_n = -(2*pi - alpha)*n/((alpha - (n+2)pi)(alpha + (n-2)pi)) * sin(alpha)
-    in chamber 2."""
+    in chamber 2; ``sin`` is sin(alpha), and n and alpha broadcast together."""
     if chamber == 1:
         num = alpha
         den = alpha * alpha - math.pi**2 * n * n
     else:
         num = -(TWO_PI - alpha)
         den = (alpha - (n + 2.0) * math.pi) * (alpha + (n - 2.0) * math.pi)
-    return num * n / den * math.sin(alpha)
+    return num * n / den * sin
 
 
 def _waveform(offset: float):
@@ -170,18 +170,22 @@ def _waveform(offset: float):
     return lambda theta: np.sin(theta - offset)
 
 
-def coefficient(kind: str, n, alpha: float):
+def coefficient(kind: str, n, alpha):
     """Adopted (oracle-resolved) closed form for one coefficient kind.
 
     The sign of kind d was fixed by the quadrature oracle: (-1)^(n+1) relative
     to the chamber-2 magnitude, not (-1)^n as in the uncorrected variant (see
     ``sign_discrepancies``).
+
+    ``n`` and ``alpha`` broadcast together, so an array of alphas of shape
+    (k, 1) against modes of shape (N,) gives one row of N coefficients per
+    alpha, each bit for bit the value of a float alpha.
     """
     chamber, _, alternating = _kind(kind)
     alpha = _check_alpha(alpha)
-    _weight_scales(alpha)  # rejects an alpha too small for float64
+    sin, _, _ = _weight_scales(alpha)  # also rejects an alpha too small for float64
     n = _levels(n)
-    out = _closed_form(chamber, n, alpha)
+    out = _closed_form(chamber, n, alpha, sin)
     if alternating:
         out = (-1.0) ** n * out
     return out if out.ndim else float(out)
@@ -349,7 +353,7 @@ def truncation_sums(alpha, n_trunc: int) -> TruncationSums:
     memory per alpha; an array of alphas gives an array per field."""
     alpha = _check_alpha(alpha)
     n_trunc = _check_truncation(n_trunc)
-    k1, k2 = _weight_scales(alpha)
+    _, k1, k2 = _weight_scales(alpha)
     d = alpha / math.pi
     # chamber 1: b = alpha/pi = 0 - (-d); chamber 2: b = 2 - alpha/pi = 2 - d
     s1, t1 = _chamber_sums(n_trunc, 0, -d)
@@ -455,27 +459,35 @@ def delta_energy(n, m, alpha, variant: str = "nominal"):
     return out if out.ndim else float(out)
 
 
-def sign_discrepancies(alpha: float, oracle: dict) -> dict:
+def sign_discrepancies(alpha, oracle: dict) -> dict:
     """Compare the uncorrected closed form of kind d against the oracle for every n.
 
-    ``oracle`` is the mapping that ``oracle_coefficients(alpha, n_max)``
-    returns; its kind-d values are read, for n = 1 up to their length. Only
-    kind d has an uncorrected form that differs from the adopted one (it is
-    the adopted form times -1), so only d is compared. The log has one row per
-    n where the oracle refutes the uncorrected form and confirms the adopted
-    one: |uncorrected - oracle| > |adopted| >= |adopted - oracle|. The rule is
-    relative to the coefficient; it matches every n wherever the oracle
-    resolves the coefficient (down to about alpha = 1e-13).
+    ``oracle`` maps "d" to kind-d oracle values, as the mapping that
+    ``oracle_coefficients(alpha, n_max)`` returns does, for n = 1 up to the
+    length of their last axis. ``alpha`` broadcasts against them: a float
+    alpha against one alpha's values, or alphas of shape (k, 1) against the k
+    alphas' values stacked in shape (k, N), which gives the k logs joined,
+    alpha outer and n inner, as one log.
+
+    Only kind d has an uncorrected form that differs from the adopted one (it
+    is the adopted form times -1), so only d is compared. The log has one row
+    per alpha and n where the oracle refutes the uncorrected form and
+    confirms the adopted one: |uncorrected - oracle| > |adopted| >=
+    |adopted - oracle|. The rule is relative to the coefficient; it matches
+    every n wherever the oracle resolves the coefficient (down to about
+    alpha = 1e-13).
 
     Returns the log as a mapping of column name to 1-D numpy array, in the
     order ``kind, n, alpha, uncorrected, oracle, adopted``; ``kind`` is an
     object array whose cells share one string, and ``n`` an int array.
     """
     exact = np.asarray(oracle["d"])
-    adopted = coefficient("d", np.arange(1, exact.size + 1), alpha)
+    adopted = coefficient("d", np.arange(1, exact.shape[-1] + 1), alpha)
     uncorrected = -adopted
-    flipped = np.flatnonzero((np.abs(uncorrected - exact) > np.abs(adopted))
-                             & (np.abs(adopted) >= np.abs(adopted - exact)))
-    return {"kind": np.full(flipped.size, "d", dtype=object), "n": flipped + 1,
-            "alpha": np.full(flipped.size, float(alpha)), "uncorrected": uncorrected[flipped],
-            "oracle": exact[flipped], "adopted": adopted[flipped]}
+    flipped = np.nonzero((np.abs(uncorrected - exact) > np.abs(adopted))
+                         & (np.abs(adopted) >= np.abs(adopted - exact)))
+    count = flipped[-1].size
+    return {"kind": np.full(count, "d", dtype=object), "n": flipped[-1] + 1,
+            "alpha": np.broadcast_to(np.asarray(alpha, dtype=float), exact.shape)[flipped],
+            "uncorrected": uncorrected[flipped], "oracle": exact[flipped],
+            "adopted": adopted[flipped]}

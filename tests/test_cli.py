@@ -169,16 +169,25 @@ def _load_by_path(*parts):
     return module
 
 
-def test_tables_match_checked_in_digests(tmp_path, capsys, monkeypatch):
-    # every run of tools/cli_digests.py, in-process; a change that moves the
-    # bytes on purpose regenerates tools/cli_digests.sha256
+@pytest.fixture(scope="session")
+def digest_runs(tmp_path_factory):
+    """Every run of tools/cli_digests.py, once per format, in-process and
+    once per test session: (argv, the files it wrote), in the tool's order.
+    The tests that read them only read them."""
     tool = _load_by_path("tools", "cli_digests.py")
-    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
-    lines = []
-    for argv, files in tool.invocations(tmp_path):
-        assert main(argv) == 0, argv
-        lines.extend(tool.digest_line(path) for path in files)
-    capsys.readouterr()
+    runs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.delenv("RINGSPLIT_CONFIG", raising=False)
+        for argv, files in tool.invocations(tmp_path_factory.mktemp("digests")):
+            assert main(argv) == 0, argv
+            runs.append((argv, files))
+    return runs
+
+
+def test_tables_match_checked_in_digests(digest_runs):
+    # a change that moves the bytes on purpose regenerates tools/cli_digests.sha256
+    tool = _load_by_path("tools", "cli_digests.py")
+    lines = [tool.digest_line(path) for _, files in digest_runs for path in files]
     manifest = Path(tool.__file__).with_name("cli_digests.sha256")
     assert lines == manifest.read_text().splitlines()
 
@@ -223,18 +232,15 @@ def _printed_values(path):
             for row in _printed_rows(path)]
 
 
-def test_printed_cost_and_parseval_columns_obey_exact_identities(tmp_path, monkeypatch):
+def test_printed_cost_and_parseval_columns_obey_exact_identities(digest_runs):
     # every cost and parseval run of tools/cli_digests.py, checked against
     # identities and not against the manifest, so a regenerated manifest
     # cannot pass them
-    tool = _load_by_path("tools", "cli_digests.py")
-    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
     tables = {"cost": 0, "parseval": 0}
     ideal_rows = 0
-    for argv, (path, *_) in tool.invocations(tmp_path):
+    for argv, (path, *_) in digest_runs:
         if argv[0] not in tables:
             continue
-        assert main(argv) == 0, argv
         rows = _printed_values(path)
         assert rows, argv
         tables[argv[0]] += 1
@@ -261,18 +267,14 @@ def _flag(argv, name):
     return argv[argv.index(name) + 1]
 
 
-def test_printed_coeffs_energy_sign_log_and_note_columns_obey_exact_identities(
-        tmp_path, monkeypatch):
+def test_printed_coeffs_energy_sign_log_and_note_columns_obey_exact_identities(digest_runs):
     # every coeffs, energy and cost run of tools/cli_digests.py, and the sign
     # logs of the coeffs runs, checked against identities and not against the
     # manifest, so a regenerated manifest cannot pass them
-    tool = _load_by_path("tools", "cli_digests.py")
-    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
     checked = dict.fromkeys(("coeffs", "energy", "cost", "sign log", "variants"), 0)
-    for argv, (path, *log) in tool.invocations(tmp_path):
+    for argv, (path, *log) in digest_runs:
         if argv[0] not in ("coeffs", "energy", "cost"):
             continue
-        assert main(argv) == 0, argv
         checked[argv[0]] += 1
         if argv[0] == "cost":
             for row in _printed_rows(path):
@@ -313,17 +315,14 @@ def test_printed_coeffs_energy_sign_log_and_note_columns_obey_exact_identities(
     assert all(checked.values()), checked
 
 
-def test_printed_evolve_columns_obey_exact_identities(tmp_path, monkeypatch):
+def test_printed_evolve_columns_obey_exact_identities(digest_runs):
     # every evolve run of tools/cli_digests.py, checked against the exact
     # revival, the mirror at half the revival period and the kept chamber
     # weight, and not against the manifest
-    tool = _load_by_path("tools", "cli_digests.py")
-    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
     checked = dict.fromkeys(("runs", "revival", "mirror", "weight"), 0)
-    for argv, (path, *_) in tool.invocations(tmp_path):
+    for argv, (path, *_) in digest_runs:
         if argv[0] != "evolve":
             continue
-        assert main(argv) == 0, argv
         checked["runs"] += 1
         args = cli.build_parser().parse_args(argv)
         rows = _printed_values(path)
@@ -366,13 +365,11 @@ def _evenly_spaced(values, count):
     return [values[round(i * (len(values) - 1) / (count - 1))] for i in range(count)]
 
 
-def test_printed_sums_and_energies_match_mpmath(tmp_path, monkeypatch):
+def test_printed_sums_and_energies_match_mpmath(digest_runs):
     # the deficits, completeness sums, sum rules and overlap_after of every
     # cost, coeffs and parseval run of tools/cli_digests.py (at most 24 alphas
     # a run), and every delta_e of every energy run, against mpmath
     mp = pytest.importorskip("mpmath")
-    tool = _load_by_path("tools", "cli_digests.py")
-    monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
     sums, levels = {}, {}  # shared by the CSV and JSON runs
     checked = dict.fromkeys(("cost", "coeffs", "parseval", "energy"), 0)
 
@@ -381,10 +378,9 @@ def test_printed_sums_and_energies_match_mpmath(tmp_path, monkeypatch):
         return abs(float(cell) - exact) <= rel * abs(exact)
 
     with mp.workdps(40):
-        for argv, (path, *_) in tool.invocations(tmp_path):
+        for argv, (path, *_) in digest_runs:
             if argv[0] not in checked:
                 continue
-            assert main(argv) == 0, argv
             args = cli.build_parser().parse_args(argv)
             rows = _printed_rows(path)
             assert rows, argv
@@ -717,10 +713,48 @@ def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypa
     assert calls == [(0.25, 7), (0.75, 7), (1.25, 7)]
 
 
+def test_coeffs_computes_a_group_of_alphas_per_part(tmp_path, monkeypatch):
+    # groups of BLOCK_ROWS // 14 = 292 alphas: one table part and one sign-log
+    # part each, from one call per kind of coefficient and one of
+    # truncation_sums and sign_discrepancies, and one oracle per alpha
+    calls, tables = [], []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coeffs expanded a candidate")
+
+    write_csv = cli._write_csv
+
+    def kept(table, stream):
+        tables.append(table)
+        write_csv(table, stream)
+
+    for name in ("coefficient", "truncation_sums", "sign_discrepancies", "oracle_coefficients"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "expand", refuse)
+    monkeypatch.setattr(cli, "_write_csv", kept)
+    assert main(["coeffs", "--alpha-sweep", "0.3:1.5:300", "--n-trunc", "14",
+                 "--discrepancies", str(tmp_path / "disc.csv"),
+                 "--out", str(tmp_path / "coeffs.csv")]) == 0
+    log, table = tables
+    # kind d flips for every n at these alphas, so the log has the table's rows
+    assert [len(part[0]) for part in table.parts] == [292 * 14, 8 * 14]
+    assert [len(part[0]) for part in log.parts] == [292 * 14, 8 * 14]
+    group = ["coefficient"] * 4 + ["truncation_sums", "sign_discrepancies"]
+    assert [name for name in calls if name != "oracle_coefficients"] == group * 2
+    assert calls.count("oracle_coefficients") == 300
+
+
 def test_empty_sign_log_keeps_its_header(tmp_path, capsys, monkeypatch):
     def confirming(alpha, oracle):
-        # an oracle that confirms the uncorrected form refutes no sign
-        n = np.arange(1, len(oracle["d"]) + 1)
+        # an oracle that confirms the uncorrected form refutes no sign; n is
+        # the last axis of a group's stacked values
+        n = np.arange(1, oracle["d"].shape[-1] + 1)
         return sign_discrepancies(alpha, {"d": -ringsplit.expansion.coefficient("d", n, alpha)})
 
     sign_discrepancies = ringsplit.expansion.sign_discrepancies
@@ -875,8 +909,11 @@ def test_tiny_alpha_exits_2_with_the_cause(argv, cause, capsys):
     # three parts of 1024, 1024 and 952 alphas; only the last alpha overflows
     ["energy", "--alpha-sweep", "1.5:1e-160:3000", "--nm-max", "2"],
     ["evolve", "--times", "0,1e30", "--n-trunc", "10", "--grid-points", "3"],
+    # one group of 3 alphas, which fails as a whole
     ["coeffs", "--alpha-sweep", "1.5:1e-150:3", "--n-trunc", "2"],
-], ids=["energy", "energy-groups", "evolve", "coeffs"])
+    # groups of 40 alphas and 1; only the last alpha underflows
+    ["coeffs", "--alpha-sweep", "1.5:1e-150:41", "--n-trunc", "100"],
+], ids=["energy", "energy-groups", "evolve", "coeffs", "coeffs-groups"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_failure_in_a_later_part_writes_no_rows(argv, to_file, tmp_path, capsys):
     # the first part computes; a later one fails, and no row of the first is written

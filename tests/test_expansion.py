@@ -356,6 +356,28 @@ def test_delta_energy_of_an_array_of_alphas_equals_the_float_calls_bit_for_bit(v
                                         for alpha in alphas]).tobytes()
 
 
+def test_coefficients_and_sign_log_of_an_array_of_alphas_equal_the_float_calls_bit_for_bit():
+    # at 1e-12 the oracle still resolves kind d: all 20 of its flips are logged
+    alphas = np.array([1e-12, 1e-6, 0.3, 1.0354838709677419, PI4,
+                       math.nextafter(math.pi / 2, 0.0), math.pi / 2])
+    n = np.arange(1, 21)
+    for kind in "abcd":
+        rows = coefficient(kind, n, alphas[:, None])
+        calls = np.array([coefficient(kind, n, alpha) for alpha in alphas.tolist()])
+        assert rows.shape == (alphas.size, 20)
+        assert rows.tobytes() == calls.tobytes(), kind
+    oracles = [oracle_coefficients(alpha, 20) for alpha in alphas.tolist()]
+    group = sign_discrepancies(alphas[:, None], {"d": np.stack([o["d"] for o in oracles])})
+    logs = [sign_discrepancies(alpha, o) for alpha, o in zip(alphas.tolist(), oracles)]
+    assert list(group) == list(logs[0])
+    for name, col in group.items():
+        joined = np.concatenate([log[name] for log in logs])
+        assert col.dtype == joined.dtype, name
+        assert (col.tolist() if col.dtype == object else col.tobytes()) \
+            == (joined.tolist() if joined.dtype == object else joined.tobytes()), name
+    assert group["n"][group["alpha"] == 1e-12].tolist() == list(range(1, 21))
+
+
 def test_delta_energy_overflow_names_the_first_alpha_that_overflows():
     # alpha**2 is subnormal at 1e-160 and 0 at 1e-170: both levels overflow
     with pytest.raises(ValueError, match=r"overflows at alpha=1e-170:"):

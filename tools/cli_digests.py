@@ -66,7 +66,8 @@ RUNS = {
     "parseval-bigint": ["parseval", "--alpha-sweep", "0.3:1.5:2", "--n-trunc",
                         "100,100000000000000000000"],
     # many alphas of a few rows each: energy's fill one part of cli.BLOCK_ROWS
-    # rows and part of a second, coeffs' are one part of 14 rows each, and
+    # rows and part of a second, coeffs' two groups of 292 and 8 alphas of 14
+    # rows each, so its table and sign log cross a group boundary, and
     # parseval's one part has a block that ends inside it; the last one also
     # has an n_trunc beyond int64
     "energy-small-parts": ["energy", "--alpha-sweep", "0.3:1.5:1500", "--nm-max", "2"],
