@@ -64,35 +64,45 @@ DEFAULT_TIME_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class Table:
-    """A table as the parts it was computed in: mappings of column name to
-    column, one for the whole sweep, per group of alphas, or per chamber and
-    time.
-    ``header`` is the first part's names, each part's columns are held by
-    those names, uncopied, and ``len()`` is the sum of the parts' row counts.
-    Every part has the same names, in any order; the columns of one part have
-    one length, and parts may differ in length.
+    """A table as the mappings of column name to column it is computed in, one
+    after another: a list of them, or a generator that computes each one when
+    the writer reaches it, so that a few blocks, not the whole table, are held
+    at once.
+    ``header`` is the first mapping's names, taken when the table is made (so
+    that mapping is computed then), and each mapping's columns are read by
+    those names, uncopied. ``len()`` is ``rows``, the row count the caller
+    knows before any compute, so it computes nothing. Every mapping has the
+    same names, in any order; the columns of one mapping have one length, and
+    mappings may differ in length.
 
     A column is a 1-D numpy array: of floats, of ints, or of objects, which
     hold text and ints beyond int64.
     """
 
-    def __init__(self, parts: list[dict]) -> None:
-        self.header = list(parts[0])
-        assert all(part.keys() == parts[0].keys() for part in parts), "parts differ in names"
-        self.parts = [[part[name] for name in self.header] for part in parts]
-        assert all(len(set(map(len, part))) == 1 for part in self.parts), \
-            "columns differ in length"
+    def __init__(self, parts, rows: int) -> None:
+        parts = iter(parts)
+        first = next(parts)
+        self.header = list(first)
+        self._parts = itertools.chain([first], parts)
+        self._rows = rows
 
     def __len__(self) -> int:
-        return sum(len(part[0]) for part in self.parts)
+        return self._rows
 
     def blocks(self):
         """The columns of at most BLOCK_ROWS rows at a time, in row order:
-        each part sliced into views, with a partial last block per part. No
-        block spans two parts, so none is a copy."""
-        for part in self.parts:
-            for start in range(0, len(part[0]), BLOCK_ROWS):
-                yield [col[start:start + BLOCK_ROWS] for col in part]
+        each mapping sliced into views, with a partial last block per mapping.
+        No block spans two mappings, so none is a copy. The mappings are read
+        once: a second call finds none, and fails the row count."""
+        rows = 0
+        for part in self._parts:
+            assert part.keys() == set(self.header), "parts differ in names"
+            columns = [part[name] for name in self.header]
+            assert len(set(map(len, columns))) == 1, "columns differ in length"
+            for start in range(0, len(columns[0]), BLOCK_ROWS):
+                yield [col[start:start + BLOCK_ROWS] for col in columns]
+            rows += len(columns[0])
+        assert rows == self._rows, f"the parts hold {rows} rows, not {self._rows}"
 
 
 def _holds_one_value(col) -> bool:
@@ -213,7 +223,7 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int, row_flags: str) -> np
     Each alpha gives ``rows_per_alpha`` rows of the table; the row count, with
     ``row_flags`` naming the flags that set it, is checked against ROW_LIMIT,
     and the sweep's ends against the range of alpha, before the sweep is built.
-    The commands take the sweep whole or in ``_groups``; where one alpha is
+    The commands take the sweep in ``_groups``; where one alpha is
     taken at a time (``evolve``'s one alpha, ``coeffs``' oracle), it comes
     from ``.tolist()``: a Python float, whose repr in an error message is the
     plain number.
@@ -230,11 +240,23 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int, row_flags: str) -> np
     return np.linspace(start, stop, count)
 
 
-def _groups(alphas: np.ndarray, rows_per_alpha: int) -> list[np.ndarray]:
-    """The sweep as views of consecutive alphas, one per table part: each
-    group gives at most BLOCK_ROWS rows, or one alpha where its rows are more."""
-    size = max(1, BLOCK_ROWS // rows_per_alpha)
-    return [alphas[first:first + size] for first in range(0, len(alphas), size)]
+def _groups(count: int, rows_per_unit: int) -> list[slice]:
+    """``count`` units (alphas, or energy's (alpha, n) pairs) as slices of
+    consecutive ones, one per table mapping: each group gives at most
+    BLOCK_ROWS rows, or one unit where its rows are more."""
+    size = max(1, BLOCK_ROWS // rows_per_unit)
+    return [slice(first, min(first + size, count)) for first in range(0, count, size)]
+
+
+def _check_ends(alphas: np.ndarray, n_trunc: int) -> None:
+    """Raise the error ``truncation_sums`` gives for the sweep's first and
+    last alpha: an ``n_trunc`` below 1, or a chamber-1 weight
+    2 alpha sin^2(alpha)/pi^3 that underflows. The weight rises with alpha, so
+    where any alpha of the sweep underflows an end does, and a streamed table
+    of several blocks fails here, before its first block, and not after rows
+    were written. A table of one block needs no check: that block is computed
+    when the table is made, before anything is written."""
+    truncation_sums(alphas[[0, -1]], n_trunc)
 
 
 def _number_list(cast):
@@ -333,8 +355,14 @@ def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) ->
 
 def run_cost(args: argparse.Namespace):
     alphas = _alphas(args, 1, "--alpha-sweep count")
-    # the report's fields, in field order, are the columns of the table's one part
-    return Table([vars(post_insertion_cost(alphas, args.n_trunc, BarrierModel(args.epsilon)))])
+    bm = BarrierModel(args.epsilon)
+    groups = _groups(len(alphas), 1)
+    if len(groups) > 1:
+        _check_ends(alphas, args.n_trunc)
+    # one report per group of BLOCK_ROWS alphas: its fields, in field order,
+    # are the columns of one mapping
+    return Table((vars(post_insertion_cost(alphas[group], args.n_trunc, bm))
+                  for group in groups), len(alphas))
 
 
 # ---------------------------------------------------------------- coeffs
@@ -344,7 +372,7 @@ def run_coeffs(args: argparse.Namespace):
     _check_limit("--n-trunc", n_trunc, COEFFS_N_LIMIT)
     alphas = _alphas(args, n_trunc, "--alpha-sweep count x --n-trunc")
     modes = np.arange(1, n_trunc + 1)
-    groups = _groups(alphas, n_trunc)
+    groups = [alphas[group] for group in _groups(len(alphas), n_trunc)]
     # each part's n, flattened with alpha outer and n inner, is a view of one tiled column
     n = np.tile(modes, len(groups[0]))
     parts = []
@@ -370,14 +398,14 @@ def run_coeffs(args: argparse.Namespace):
             "deficit_reference": deficit, "deficit_shifted": deficit,
         })
         logs.append(sign_discrepancies(group[:, None], oracle))
-    discrepancies = Table(logs)
+    discrepancies = Table(logs, sum(len(log["n"]) for log in logs))
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
             _write_csv(discrepancies, fh)
     elif len(discrepancies):
         print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
-    return Table(parts)
+    return Table(parts, alphas.size * n_trunc)
 
 
 # ---------------------------------------------------------------- energy
@@ -389,23 +417,30 @@ def run_energy(args: argparse.Namespace):
     alphas = _alphas(args, nm_max**2, "--alpha-sweep count x --nm-max squared")
     both = args.variant == "both"
     variants = DELTA_E_VARIANTS if both else (args.variant,)
+    groups = _groups(alphas.size * nm_max, nm_max)
+    if len(groups) > 1:
+        # every level rises with n and m and is convex in alpha, so where any
+        # row overflows, the corner (nm_max, nm_max) at an end of the sweep
+        # does: as in _check_ends, the table fails here, before its first block
+        for v in variants:
+            delta_energy(nm_max, nm_max, alphas[[0, -1]], variant=v)
     idx = np.arange(1, nm_max + 1)
-    groups = _groups(alphas, nm_max**2)
-    # each part's (n, m), flattened with alpha outer, n next and m inner, is a
-    # view of one tiled pair
-    n = np.tile(np.repeat(idx, nm_max), len(groups[0]))
-    m = np.tile(idx, nm_max * len(groups[0]))
-    parts = []
-    for block in groups:
-        alpha = np.repeat(block, nm_max**2)
-        values = [delta_energy(idx[:, None], idx, block[:, None, None], variant=v).ravel()
+
+    def part(pairs):
+        # the rows of consecutive (alpha, n) pairs, nm_max values of m each:
+        # alpha outer, n next and m inner
+        alpha, n = alphas[pairs // nm_max], idx[pairs % nm_max]
+        values = [delta_energy(n[:, None], idx, alpha[:, None], variant=v).ravel()
                   for v in variants]
         columns = {f"delta_e_{v}" if both else "delta_e": col
                    for v, col in zip(variants, values)}
         if both:
             columns["variant_difference"] = values[0] - values[1]
-        parts.append({"alpha": alpha, "n": n[:alpha.size], "m": m[:alpha.size], **columns})
-    return Table(parts)
+        return {"alpha": np.repeat(alpha, nm_max), "n": np.repeat(n, nm_max),
+                "m": np.tile(idx, pairs.size), **columns}
+
+    return Table((part(np.arange(group.start, group.stop)) for group in groups),
+                 alphas.size * nm_max**2)
 
 
 # ---------------------------------------------------------------- evolve
@@ -422,16 +457,21 @@ def run_evolve(args: argparse.Namespace):
         raise ValueError("evolve takes a single --alpha, not a sweep")
     (alpha,) = alphas.tolist()
     expansion = expand(args.candidate, alpha, args.n_trunc)
-    parts = []
+    # every (chamber, time) is evolved, and so checked against its time
+    # bound, before the first part is sampled; a state holds no copy of the
+    # coefficients
+    states = []
     for chamber in chambers:
-        lo, hi = expansion.geometry.bounds(chamber)
-        grid = np.linspace(lo, hi, args.grid_points)
         period = revival_period(expansion.geometry.width(chamber))
         for t in args.times or [f * period for f in fracs]:
-            density = sample_density(evolve(expansion, chamber, t), grid)
-            parts.append({"theta": grid, "density": density, "t": np.full(grid.size, t),
-                          "chamber": np.full(grid.size, chamber)})
-    return Table(parts)
+            states.append((t, evolve(expansion, chamber, t)))
+
+    def part(t, state):
+        grid = np.linspace(*expansion.geometry.bounds(state.chamber), args.grid_points)
+        return {"theta": grid, "density": sample_density(state, grid),
+                "t": np.full(grid.size, t), "chamber": np.full(grid.size, state.chamber)}
+
+    return Table(itertools.starmap(part, states), len(states) * args.grid_points)
 
 
 # ---------------------------------------------------------------- parseval
@@ -439,22 +479,31 @@ def run_evolve(args: argparse.Namespace):
 def run_parseval(args: argparse.Namespace):
     count = len(args.n_trunc)
     alphas = _alphas(args, count, "--alpha-sweep count x --n-trunc count")
-    # one part of alpha x truncation rows; both candidates have the same
-    # coefficient magnitudes, so the same sums
-    sums = [truncation_sums(alphas, n_trunc) for n_trunc in args.n_trunc]
-    deficit, completeness, sum_rule = (
-        np.column_stack([getattr(s, name) for s in sums]).ravel()
-        for name in ("deficit", "completeness", "sum_rule"))
-    target = np.repeat([ring_overlap(reference_state(), shifted_state(alpha))
-                        for alpha in alphas], count)
-    return Table([{
-        # np.tile makes an object array of ints beyond int64
-        "alpha": np.repeat(alphas, count), "n_trunc": np.tile(args.n_trunc, len(alphas)),
-        "deficit_reference": deficit, "deficit_shifted": deficit,
-        "completeness_reference": completeness, "completeness_shifted": completeness,
-        "sum_rule_overlap": sum_rule, "ring_overlap": target,
-        "sum_rule_abs_error": np.abs(sum_rule - target),
-    }])
+    groups = _groups(len(alphas), count)
+    if len(groups) > 1:
+        # underflow depends on alpha alone; the first block, computed when the
+        # table is made, checks every truncation
+        _check_ends(alphas, args.n_trunc[0])
+
+    def part(group):
+        # alpha x truncation rows; both candidates have the same coefficient
+        # magnitudes, so the same sums
+        sums = [truncation_sums(group, n_trunc) for n_trunc in args.n_trunc]
+        deficit, completeness, sum_rule = (
+            np.column_stack([getattr(s, name) for s in sums]).ravel()
+            for name in ("deficit", "completeness", "sum_rule"))
+        target = np.repeat([ring_overlap(reference_state(), shifted_state(alpha))
+                            for alpha in group], count)
+        return {
+            # np.tile makes an object array of ints beyond int64
+            "alpha": np.repeat(group, count), "n_trunc": np.tile(args.n_trunc, len(group)),
+            "deficit_reference": deficit, "deficit_shifted": deficit,
+            "completeness_reference": completeness, "completeness_shifted": completeness,
+            "sum_rule_overlap": sum_rule, "ring_overlap": target,
+            "sum_rule_abs_error": np.abs(sum_rule - target),
+        }
+
+    return Table((part(alphas[group]) for group in groups), len(alphas) * count)
 
 
 # ---------------------------------------------------------------- parser

@@ -122,6 +122,7 @@ def test_str_column_is_not_copied_into_an_array(fmt, tmp_path, monkeypatch):
 
 
 def test_cost_sweep_computes_one_report_of_columns(tmp_path, monkeypatch):
+    # one report of columns per block of BLOCK_ROWS alphas, not one per alpha
     calls = []
 
     def counted(alphas, *args):
@@ -129,8 +130,11 @@ def test_cost_sweep_computes_one_report_of_columns(tmp_path, monkeypatch):
         return post_insertion_cost(alphas, *args)
 
     monkeypatch.setattr(cli, "post_insertion_cost", counted)
-    assert main(["cost", "--alpha-sweep", "0.1:1.5:50", "--out", str(tmp_path / "cost.csv")]) == 0
-    assert calls == [50]
+    for count, blocks in ((50, [50]), (2 * cli.BLOCK_ROWS + 5, [cli.BLOCK_ROWS] * 2 + [5])):
+        calls.clear()
+        assert main(["cost", "--alpha-sweep", f"0.1:1.5:{count}",
+                     "--out", str(tmp_path / "cost.csv")]) == 0
+        assert calls == blocks
 
 
 def test_cost_sweep_peak_stays_below_a_report_per_alpha(tmp_path):
@@ -142,21 +146,30 @@ def test_cost_sweep_peak_stays_below_a_report_per_alpha(tmp_path):
 
 
 def test_parts_are_not_joined_into_a_second_table(tmp_path, monkeypatch):
-    # ten 40 000-row energy parts: the run's peak stays near the parts' own
-    # bytes, where a joined copy of every column would double it
-    part_bytes = []
-    emit = cli._emit
+    # 400 000 energy rows, computed as they are written in blocks of 4000: the
+    # run's peak stays within a few blocks' bytes, where holding every part
+    # (13.7 MB traced) or a joined copy of every column would not
+    block_bytes = []
+    blocks = cli.Table.blocks
 
-    def measured(args, table):
-        arrays = {id(col): col for part in table.parts for col in part}
-        part_bytes.append(sum(col.nbytes for col in arrays.values()))
-        emit(args, table)
+    def measured(table):
+        for block in blocks(table):
+            block_bytes.append(sum(col.nbytes for col in block))
+            yield block
 
-    monkeypatch.setattr(cli, "_emit", measured)
+    monkeypatch.setattr(cli.Table, "blocks", measured)
     peak = traced_peak(["energy", "--alpha-sweep", "0.3:1.5:10", "--nm-max", "200",
                         "--out", str(tmp_path / "energy.csv")])
-    assert part_bytes[0] > 12 * 2**20
-    assert peak < 1.25 * part_bytes[0]
+    assert len(block_bytes) == 100 and sum(block_bytes) > 12 * 2**20
+    assert peak < 8 * max(block_bytes)
+
+
+def test_energy_peak_is_flat_in_nm_max(tmp_path):
+    # 160 000 rows of one alpha: its 40 (alpha, n) pairs of 400 rows each are
+    # computed a block at a time (all held before the first byte: 8.2 MB)
+    peak = traced_peak(["energy", "--alpha", "0.9", "--nm-max", "400",
+                        "--out", str(tmp_path / "energy.csv")])
+    assert peak < 2 * 2**20
 
 
 def _load_by_path(*parts):
@@ -717,7 +730,7 @@ def test_coeffs_computes_a_group_of_alphas_per_part(tmp_path, monkeypatch):
     # groups of BLOCK_ROWS // 14 = 292 alphas: one table part and one sign-log
     # part each, from one call per kind of coefficient and one of
     # truncation_sums and sign_discrepancies, and one oracle per alpha
-    calls, tables = [], []
+    calls, block_rows = [], []
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -728,11 +741,9 @@ def test_coeffs_computes_a_group_of_alphas_per_part(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("coeffs expanded a candidate")
 
-    write_csv = cli._write_csv
-
     def kept(table, stream):
-        tables.append(table)
-        write_csv(table, stream)
+        # a table's blocks are read once: here, in place of writing them
+        block_rows.append([len(block[0]) for block in table.blocks()])
 
     for name in ("coefficient", "truncation_sums", "sign_discrepancies", "oracle_coefficients"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
@@ -741,10 +752,9 @@ def test_coeffs_computes_a_group_of_alphas_per_part(tmp_path, monkeypatch):
     assert main(["coeffs", "--alpha-sweep", "0.3:1.5:300", "--n-trunc", "14",
                  "--discrepancies", str(tmp_path / "disc.csv"),
                  "--out", str(tmp_path / "coeffs.csv")]) == 0
-    log, table = tables
-    # kind d flips for every n at these alphas, so the log has the table's rows
-    assert [len(part[0]) for part in table.parts] == [292 * 14, 8 * 14]
-    assert [len(part[0]) for part in log.parts] == [292 * 14, 8 * 14]
+    # kind d flips for every n at these alphas, so the log has the table's
+    # rows; each part is one block
+    assert block_rows == [[292 * 14, 8 * 14]] * 2
     group = ["coefficient"] * 4 + ["truncation_sums", "sign_discrepancies"]
     assert [name for name in calls if name != "oracle_coefficients"] == group * 2
     assert calls.count("oracle_coefficients") == 300
@@ -821,12 +831,13 @@ def test_energy_single_variant_column(capsys):
     ("both", ["nominal", "conserving"]),
 ])
 def test_energy_computes_only_the_variants_asked_for(variant, per_alpha, capsys, monkeypatch):
-    # one call per variant asked for and group of BLOCK_ROWS // nm_max**2
-    # alphas, with each alpha in one group
+    # one call per variant asked for at the corner (nm_max, nm_max) of the
+    # sweep's ends, then one per variant and group of BLOCK_ROWS // nm_max
+    # (alpha, n) pairs, with each pair in one group
     calls = []
 
     def counted(n, m, alpha, variant):
-        calls.append((variant, alpha.ravel().tolist()))
+        calls.append((variant, np.ravel(n).tolist(), np.ravel(alpha).tolist()))
         return delta_energy(n, m, alpha, variant=variant)
 
     delta_energy = cli.delta_energy
@@ -835,10 +846,13 @@ def test_energy_computes_only_the_variants_asked_for(variant, per_alpha, capsys,
                           "--variant", variant], capsys)
     assert code == 0
     alphas = np.linspace(0.3, 1.5, 600).tolist()
-    group = cli.BLOCK_ROWS // 4**2
-    groups = [alphas[first:first + group] for first in range(0, len(alphas), group)]
+    pairs = [(alpha, n) for alpha in alphas for n in range(1, 5)]
+    group = cli.BLOCK_ROWS // 4
+    groups = [pairs[first:first + group] for first in range(0, len(pairs), group)]
     assert len(groups) == 3
-    assert calls == [(v, part) for part in groups for v in per_alpha]
+    corner = [(v, [4], [0.3, 1.5]) for v in per_alpha]
+    assert calls == corner + [(v, [n for _, n in part], [alpha for alpha, _ in part])
+                              for part in groups for v in per_alpha]
 
 
 # ---------------------------------------------------------------- evolve
@@ -906,23 +920,85 @@ def test_tiny_alpha_exits_2_with_the_cause(argv, cause, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["energy", "--alpha-sweep", "1.5:1e-160:3", "--nm-max", "2"],
-    # three parts of 1024, 1024 and 952 alphas; only the last alpha overflows
+    # three blocks of 2048, 2048 and 1904 (alpha, n) pairs; only the last alpha overflows
     ["energy", "--alpha-sweep", "1.5:1e-160:3000", "--nm-max", "2"],
+    # one alpha in blocks of 40 (alpha, n) pairs; only the pairs from n = 41 overflow
+    ["energy", "--alpha", "6.7e-153", "--nm-max", "100"],
     ["evolve", "--times", "0,1e30", "--n-trunc", "10", "--grid-points", "3"],
     # one group of 3 alphas, which fails as a whole
     ["coeffs", "--alpha-sweep", "1.5:1e-150:3", "--n-trunc", "2"],
     # groups of 40 alphas and 1; only the last alpha underflows
     ["coeffs", "--alpha-sweep", "1.5:1e-150:41", "--n-trunc", "100"],
-], ids=["energy", "energy-groups", "evolve", "coeffs", "coeffs-groups"])
+    # blocks of 4096 and 904 alphas; only the last alpha underflows
+    ["cost", "--alpha-sweep", "1.5:1e-150:5000"],
+    ["parseval", "--alpha-sweep", "1.5:1e-150:5000", "--n-trunc", "10"],
+], ids=["energy", "energy-groups", "energy-pairs", "evolve", "coeffs", "coeffs-groups",
+        "cost-blocks", "parseval-blocks"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_failure_in_a_later_part_writes_no_rows(argv, to_file, tmp_path, capsys):
-    # the first part computes; a later one fails, and no row of the first is written
+    # the first part computes; a later one would fail, and no row of the first
+    # is written: a streamed table checks its failures before its first block
     out = tmp_path / "table.csv"
     code, stdout, err = run_cli([*argv, *(["--out", str(out)] if to_file else [])], capsys)
     assert code == 2
     assert stdout == ""
     assert err.startswith("ringsplit: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_coeffs_is_computed_before_its_first_byte(to_file, tmp_path, capsys, monkeypatch):
+    # its oracle may fail to converge at any alpha, which no check can know in
+    # advance: a failure at the last alpha, in the second of groups of 40
+    # alphas and 1, writes no row, and exits 1
+    def oracle(alpha, n_max):
+        if alpha == 1.5:
+            _fail_to_converge()
+        return oracle_coefficients(alpha, n_max)
+
+    oracle_coefficients = cli.oracle_coefficients
+    monkeypatch.setattr(cli, "oracle_coefficients", oracle)
+    out = tmp_path / "table.csv"
+    code, stdout, err = run_cli(["coeffs", "--alpha-sweep", "0.3:1.5:41", "--n-trunc", "100",
+                                 *(["--out", str(out)] if to_file else [])], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("ringsplit: quadrature failed to converge")
+    assert not out.exists()
+
+
+def _sweeps(count):
+    """cost at eps = 0 and 0.5 and parseval over ``count`` alphas."""
+    sweep = ["--alpha-sweep", f"0.01:1.5:{count}"]
+    return [*(["cost", *sweep, "--n-trunc", "1000", "--epsilon", eps] for eps in ("0", "0.5")),
+            ["parseval", *sweep, "--n-trunc", "10,1000"]]
+
+
+#: block sizes of 1 and 7 rows (or one alpha, or one (alpha, n) pair, where
+#: its rows are more), the default, and one block for the whole table
+SMALL_BLOCKS = (1, 7, cli.BLOCK_ROWS, cli.ROW_LIMIT)
+
+
+@pytest.mark.parametrize("argv,block_sizes", [
+    *((argv, SMALL_BLOCKS) for argv in _sweeps(3 * 7 + 5)),
+    # a block of 1 or 7 rows costs about 1 ms of per-call work, so the sweep
+    # that spans default blocks is compared to one block only
+    *((argv, (cli.BLOCK_ROWS, cli.ROW_LIMIT)) for argv in _sweeps(3 * cli.BLOCK_ROWS + 5)),
+    (["energy", "--alpha", "0.9", "--nm-max", "95"], SMALL_BLOCKS),
+    (["energy", "--alpha-sweep", "0.3:1.5:300", "--nm-max", "3"], SMALL_BLOCKS),
+    (["evolve", "--n-trunc", "50", "--grid-points", "100", "--time-fracs", "0,0.3"],
+     SMALL_BLOCKS),
+], ids=["cost", "cost-eps", "parseval", "cost-long", "cost-eps-long", "parseval-long",
+        "energy", "energy-sweep", "evolve"])
+def test_block_size_changes_no_byte(argv, block_sizes, tmp_path, monkeypatch):
+    tables = {}
+    for block_rows in block_sizes:
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{block_rows}.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+            tables.setdefault(fmt, []).append(out.read_bytes())
+    assert all(len(set(texts)) == 1 for texts in tables.values())
 
 
 @pytest.mark.parametrize("alpha", ["5e-324", "1e-310", "1e-300"])
@@ -1025,9 +1101,11 @@ def table_rows(columns):
     return list(zip(*[col.tolist() for col in columns.values()]))
 
 
-def assert_writers_match_references(table, rows):
+def assert_writers_match_references(parts, rows):
     for write, reference in ((cli._write_csv, reference_csv),
                              (cli._write_json, reference_json)):
+        # a table's blocks are read once, so each writer gets its own
+        table = cli.Table(parts, len(rows))
         stream = io.StringIO()
         write(table, stream)
         # lines, so that a failure names the first one that differs and its
@@ -1038,7 +1116,7 @@ def assert_writers_match_references(table, rows):
 @pytest.mark.parametrize("n_rows", [0, 1, cli.BLOCK_ROWS, 2 * cli.BLOCK_ROWS + 5])
 def test_writers_match_csv_and_json_modules(n_rows):
     columns, rows = synthetic_table(n_rows)
-    assert_writers_match_references(cli.Table([columns]), rows)
+    assert_writers_match_references([columns], rows)
 
 
 def constant_block_table(n_rows, varying):
@@ -1080,7 +1158,7 @@ def constant_block_table(n_rows, varying):
 @pytest.mark.parametrize("n_rows", [0, 1, 2 * cli.BLOCK_ROWS + 5])
 def test_writers_format_constant_columns_as_each_row_would(n_rows, varying):
     columns, rows = constant_block_table(n_rows, varying)
-    assert_writers_match_references(cli.Table([columns]), rows)
+    assert_writers_match_references([columns], rows)
 
 
 @pytest.mark.parametrize("part_rows", [1, 7, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
@@ -1096,12 +1174,13 @@ def test_writers_match_references_over_many_parts(make, part_rows):
     columns, rows = make(n_rows)
     parts = [{name: col[start:start + part_rows] for name, col in columns.items()}
              for start in range(0, n_rows, part_rows)]
-    assert_writers_match_references(cli.Table(parts), rows)
+    assert_writers_match_references(parts, rows)
 
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
 def test_csv_string_cell_needing_quotes_is_refused(cell):
-    table = cli.Table([{"x": np.array([1.0, 2.0]), "s": np.array(["plain", cell], dtype=object)}])
+    table = cli.Table([{"x": np.array([1.0, 2.0]), "s": np.array(["plain", cell], dtype=object)}],
+                      2)
     with pytest.raises(AssertionError, match="CSV string cell"):
         cli._write_csv(table, io.StringIO())
 
@@ -1109,19 +1188,18 @@ def test_csv_string_cell_needing_quotes_is_refused(cell):
 def test_table_of_one_part_keeps_its_columns():
     part = {"x": np.arange(3.0), "word": np.array(["a", "b", "c"], dtype=object),
             "k": np.arange(3)}
-    table = cli.Table([part])
+    table = cli.Table([part], 3)
     assert table.header == ["x", "word", "k"]
     # a join would copy each column
-    assert all(col is part[name] for name, col in zip(table.header, table.parts[0]))
     (block,) = table.blocks()
-    assert np.shares_memory(block[0], part["x"]) and np.shares_memory(block[2], part["k"])
+    assert all(np.shares_memory(col, part[name]) for name, col in zip(table.header, block))
 
 
 def test_table_slices_parts_by_name_in_the_first_parts_order():
     # every block is a view of one part: none crosses from one part into the next
     first = {"b": np.arange(cli.BLOCK_ROWS + 2.0), "a": np.arange(cli.BLOCK_ROWS + 2)}
     second = {"a": np.array([3]), "b": np.array([5.0])}
-    table = cli.Table([first, second])
+    table = cli.Table([first, second], cli.BLOCK_ROWS + 3)
     assert table.header == ["b", "a"]
     assert len(table) == cli.BLOCK_ROWS + 3
     blocks = list(table.blocks())
@@ -1133,22 +1211,49 @@ def test_table_slices_parts_by_name_in_the_first_parts_order():
          [[5.0], [3]]]
 
 
+def test_table_computes_each_part_when_its_blocks_are_reached():
+    # the header comes from the first part, computed when the table is made;
+    # len() computes nothing, and each later part waits for the writer
+    computed = []
+
+    def parts():
+        for value in (1.0, 2.0, 3.0):
+            computed.append(value)
+            yield {"x": np.full(2, value)}
+
+    table = cli.Table(parts(), 6)
+    assert computed == [1.0] and table.header == ["x"] and len(table) == 6
+    blocks = table.blocks()
+    assert next(blocks)[0].tolist() == [1.0, 1.0] and computed == [1.0]
+    assert next(blocks)[0].tolist() == [2.0, 2.0] and computed == [1.0, 2.0]
+    assert [block[0].tolist() for block in blocks] == [[3.0, 3.0]]
+    # the parts are read once
+    with pytest.raises(AssertionError, match="hold 0 rows, not 6"):
+        list(table.blocks())
+
+
 @pytest.mark.parametrize("second", [
     {"a": np.array([2.0]), "b": np.array([3.0]), "c": np.array([4.0])},
     {"a": np.array([2.0])},
 ], ids=["extra-name", "missing-name"])
 def test_table_refuses_parts_of_other_names(second):
+    table = cli.Table([{"a": np.array([1.0]), "b": np.array([5.0])}, second], 2)
     with pytest.raises(AssertionError, match="parts differ in names"):
-        cli.Table([{"a": np.array([1.0]), "b": np.array([5.0])}, second])
+        list(table.blocks())
 
 
 def test_table_takes_parts_but_not_columns_of_other_lengths():
     table = cli.Table([{"a": np.array([1.0]), "b": np.array([4])},
-                       {"a": np.array([2.0, 3.0]), "b": np.array([5, 6])}])
+                       {"a": np.array([2.0, 3.0]), "b": np.array([5, 6])}], 3)
     assert len(table) == 3
+    assert [len(block[0]) for block in table.blocks()] == [1, 2]
+    table = cli.Table([{"a": np.array([1.0]), "b": np.array([4])},
+                       {"a": np.array([2.0, 3.0]), "b": np.array([5])}], 3)
     with pytest.raises(AssertionError, match="columns differ in length"):
-        cli.Table([{"a": np.array([1.0]), "b": np.array([4])},
-                   {"a": np.array([2.0, 3.0]), "b": np.array([5])}])
+        list(table.blocks())
+    # a row count other than the parts' is a program error too
+    with pytest.raises(AssertionError, match="hold 1 rows, not 2"):
+        list(cli.Table([{"a": np.array([1.0])}], 2).blocks())
 
 
 @pytest.mark.parametrize("argv", [
