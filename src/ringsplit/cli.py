@@ -30,12 +30,12 @@ import numpy as np
 
 from .discrimination import BarrierModel, post_insertion_cost
 from .evolution import evolve, revival_period, sample_density
-# oracle_coefficient is unused here, but perfbench/spans.py patches cli.oracle_coefficient
+from .quadrature import ConvergenceError
+# perfbench/spans.py patches oracle_coefficient and the ring states, which are unused here
 from .expansion import (CANDIDATES, COEFF_KINDS, DELTA_E_VARIANTS,  # noqa: F401
                         ChamberGeometry, coefficient, delta_energy, expand, oracle_coefficient,
                         oracle_coefficients, sign_discrepancies, truncation_sums)
-from .quadrature import ConvergenceError
-from .ring import TWO_PI, reference_state, ring_overlap, shifted_state
+from .ring import TWO_PI, reference_state, ring_overlap, shifted_state  # noqa: F401
 
 ENV_CONFIG = "RINGSPLIT_CONFIG"
 #: exit code when stdout's reader closes early: 128 + SIGPIPE, as a shell
@@ -66,8 +66,8 @@ DEFAULT_TIME_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 class Table:
     """A table as the mappings of column name to column it is computed in, one
     after another: a list of them, or a generator that computes each one when
-    the writer reaches it, so that a few blocks, not the whole table, are held
-    at once.
+    the writer reaches it, so that one mapping, not the whole table, is held at
+    once: the writer lets each go before the next is computed.
     ``header`` is the first mapping's names, taken when the table is made (so
     that mapping is computed then), and each mapping's columns are read by
     those names, uncopied. ``len()`` is ``rows``, the row count the caller
@@ -83,7 +83,8 @@ class Table:
         parts = iter(parts)
         first = next(parts)
         self.header = list(first)
-        self._parts = itertools.chain([first], parts)
+        # an exhausted list iterator lets its list go, so the first mapping is released too
+        self._parts = itertools.chain(iter([first]), parts)
         self._rows = rows
 
     def __len__(self) -> int:
@@ -102,6 +103,7 @@ class Table:
             for start in range(0, len(columns[0]), BLOCK_ROWS):
                 yield [col[start:start + BLOCK_ROWS] for col in columns]
             rows += len(columns[0])
+            del part, columns  # before the next mapping is computed
         assert rows == self._rows, f"the parts hold {rows} rows, not {self._rows}"
 
 
@@ -141,6 +143,7 @@ def _write_rows(stream, row_format, column_format, table: Table, sep: str) -> No
             stream.write(block_format % next(rows))
         later = sep + block_format
         stream.writelines(later % row for row in rows)
+        del block, cells, varying, rows  # before the next block is computed
 
 
 def _csv_format(col):
@@ -492,8 +495,7 @@ def run_parseval(args: argparse.Namespace):
         deficit, completeness, sum_rule = (
             np.column_stack([getattr(s, name) for s in sums]).ravel()
             for name in ("deficit", "completeness", "sum_rule"))
-        target = np.repeat([ring_overlap(reference_state(), shifted_state(alpha))
-                            for alpha in group], count)
+        target = np.repeat(np.fromiter(map(math.cos, group.tolist()), float, group.size), count)
         return {
             # np.tile makes an object array of ints beyond int64
             "alpha": np.repeat(group, count), "n_trunc": np.tile(args.n_trunc, len(group)),

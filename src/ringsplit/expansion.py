@@ -107,7 +107,7 @@ def _weight_scales(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     coefficients and weights lose their digits: such an alpha is rejected.
     """
     # libm's sine of each alpha, which does not depend on the numpy build
-    sin = np.fromiter(map(math.sin, alpha.flat), float, alpha.size).reshape(alpha.shape)
+    sin = np.fromiter(map(math.sin, alpha.ravel().tolist()), float, alpha.size).reshape(alpha.shape)
     sin_sq = sin * sin
     k1 = 2.0 * alpha * sin_sq / math.pi**3
     under = k1 < sys.float_info.min

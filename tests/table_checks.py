@@ -1,5 +1,6 @@
 """Exact references shared by the tests: values in mpmath, which each test
 imports with ``pytest.importorskip`` and passes in."""
+import math
 
 
 def exact_sums(mp, alpha, n_trunc):
@@ -7,8 +8,16 @@ def exact_sums(mp, alpha, n_trunc):
 
     Each tail comes from the partial fractions of f(n, b) = n^2/(n^2 - b^2)^2,
     [(n-b)^-2 + (n+b)^-2]/4 + [(n-b)^-1 - (n+b)^-1]/(4b), summed by trigamma
-    and digamma; b2 = 2 - alpha/pi is formed at working precision.
+    and digamma. They are taken at the working precision plus about
+    -log10(alpha) digits: b1 = alpha/pi cancels that many in the digamma
+    difference, and b2 = 2 - alpha/pi would round to 2, the trigamma's pole,
+    below alpha = 10**-dps.
     """
+    with mp.extradps(max(0, math.ceil(-math.log10(alpha)))):
+        return _exact_sums(mp, alpha, n_trunc)
+
+
+def _exact_sums(mp, alpha, n_trunc):
     def tail(n, b):
         x = n + 1
         return (mp.psi(1, x - b) + mp.psi(1, x + b)) / 4 \

@@ -145,6 +145,28 @@ def test_cost_sweep_peak_stays_below_a_report_per_alpha(tmp_path):
     assert peak < 20_000 * 300
 
 
+def test_cost_sweep_peak_is_about_one_block(tmp_path):
+    # each block, and the mapping it is sliced from, is let go before the next
+    # is computed, so a 20 000-alpha sweep peaks near one block of 4096 alphas
+    # (about 1.6 MB traced); one block more held beside it reads about 1.9x
+    peaks = [traced_peak(["cost", "--alpha-sweep", f"0.01:1.5:{count}", "--epsilon", "0.5",
+                          "--out", str(tmp_path / "cost.csv")])
+             for count in (cli.BLOCK_ROWS, 20_000)]
+    assert peaks[1] <= 1.6 * peaks[0]
+
+
+def test_cost_and_parseval_tables_build_no_ring_state(tmp_path, monkeypatch):
+    # the overlap cos(alpha) and sin(alpha) of every row come from libm
+    # directly, not from a RingState per alpha
+    def refuse(offset):
+        raise AssertionError("a RingState was built on a table path")
+
+    monkeypatch.setattr(ringsplit.ring, "ring_state", refuse)
+    for argv in (["cost", "--alpha-sweep", "1e-100:1.5707963267948966:5000", "--epsilon", "0.5"],
+                 ["parseval", "--alpha-sweep", "0.01:1.5:3000", "--n-trunc", "10,1000"]):
+        assert main([*argv, "--out", str(tmp_path / "table.csv")]) == 0, argv
+
+
 def test_parts_are_not_joined_into_a_second_table(tmp_path, monkeypatch):
     # 400 000 energy rows, computed as they are written in blocks of 4000: the
     # run's peak stays within a few blocks' bytes, where holding every part

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from ringsplit import (BarrierModel, coefficient, expand, oracle_coefficient,  # noqa: E402
-                       oracle_coefficients, post_insertion_cost, sign_discrepancies,
+from ringsplit import (BarrierModel, cli, coefficient, expand,  # noqa: E402
+                       oracle_coefficient, oracle_coefficients, post_insertion_cost,
+                       reference_state, ring_overlap, shifted_state, sign_discrepancies,
                        truncation_sums)
 
 
@@ -75,3 +76,27 @@ def test_cost_after_bounded_and_monotone_in_epsilon(alpha, n_trunc, epsilons):
     low, high = (post_insertion_cost(alpha, n_trunc, BarrierModel(eps)).cost_after
                  for eps in sorted(epsilons))
     assert 0.0 <= low <= high <= 0.5
+
+
+#: alpha log-uniform over [1e-100, pi/2], both ends drawn too
+LOG_ALPHAS = st.one_of(st.sampled_from((1e-100, math.pi / 2)),
+                       st.floats(-100.0, math.log10(math.pi / 2))
+                       .map(lambda e: min(10.0 ** e, math.pi / 2)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(alphas=st.lists(LOG_ALPHAS, min_size=1, max_size=8))
+def test_libm_columns_equal_the_ring_overlap_bit_for_bit(alphas):
+    # the tables take cos and sin of each alpha from libm; the definition is
+    # the overlap of the two RingStates and the sine of their offset
+    report = post_insertion_cost(np.array(alphas), 10)
+    parser = cli.build_parser()
+    for i, alpha in enumerate(alphas):
+        c = ring_overlap(reference_state(), shifted_state(alpha))
+        s = math.sin(shifted_state(alpha).offset)
+        assert report.overlap_before[i].hex() == min(1.0, c * c).hex()
+        assert report.cost_before[i].hex() == (0.5 - 0.5 * abs(s)).hex()
+        table = cli.run_parseval(parser.parse_args(["parseval", "--alpha", repr(alpha),
+                                                    "--n-trunc", "10"]))
+        (cell,) = next(table.blocks())[table.header.index("ring_overlap")]
+        assert cell.hex() == c.hex()

@@ -84,6 +84,12 @@ RUNS = {
     # 1.0354838709677419 numpy's x*x of 2*pi - alpha differs in the last bit
     # from Python's x**2
     "energy-groups": ["energy", "--alpha-sweep", "0.3:1.5:32", "--nm-max", "10"],
+    # the ends of the range of alpha: 1e-100, far below where 1 - cos^2 keeps
+    # a digit, its midpoint, and pi/2, where cost_before is 0
+    "cost-edges": ["cost", "--alpha-sweep", "1e-100:1.5707963267948966:3", "--n-trunc",
+                   "1000", "--epsilon", "0.5"],
+    "parseval-edges": ["parseval", "--alpha-sweep", "1e-100:1.5707963267948966:3",
+                       "--n-trunc", "10,1000000000000"],
 }
 
 
