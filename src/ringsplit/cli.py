@@ -54,8 +54,8 @@ BLOCK_ROWS = 4096
 #: builds an array
 ROW_LIMIT = 10_000_000
 #: largest --n-trunc of coeffs, whose oracle costs O(N^2) quadrature nodes
-#: (one batched projection per chamber: 0.7 s at N = 500 and 8.3 s at
-#: N = 2000 on a 2-core Xeon, so about 200 s at this limit), and of evolve;
+#: (one batched projection per chamber: 0.6 s at N = 500, 6.3 s at N = 2000
+#: and 202 s at this limit for one alpha on a 2-core Xeon), and of evolve;
 #: cost and parseval are O(1) in N
 COEFFS_N_LIMIT = 10_000
 EVOLVE_N_LIMIT = 1_000_000
@@ -65,9 +65,10 @@ DEFAULT_TIME_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 class Table:
     """A table as the mappings of column name to column it is computed in, one
-    after another: a list of them, or a generator that computes each one when
-    the writer reaches it, so that one mapping, not the whole table, is held at
-    once: the writer lets each go before the next is computed.
+    after another: a list of them (``coeffs``' sign log), or a generator that
+    computes each one when the writer reaches it (every subcommand's table), so
+    that one mapping, not the whole table, is held at once: the writer lets
+    each go before the next is computed.
     ``header`` is the first mapping's names, taken when the table is made (so
     that mapping is computed then), and each mapping's columns are read by
     those names, uncopied. ``len()`` is ``rows``, the row count the caller
@@ -226,7 +227,7 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int, row_flags: str) -> np
     Each alpha gives ``rows_per_alpha`` rows of the table; the row count, with
     ``row_flags`` naming the flags that set it, is checked against ROW_LIMIT,
     and the sweep's ends against the range of alpha, before the sweep is built.
-    The commands take the sweep in ``_groups``; where one alpha is
+    The tables take the sweep in groups, in ``_sweep``; where one alpha is
     taken at a time (``evolve``'s one alpha, ``coeffs``' oracle), it comes
     from ``.tolist()``: a Python float, whose repr in an error message is the
     plain number.
@@ -243,23 +244,25 @@ def _alphas(args: argparse.Namespace, rows_per_alpha: int, row_flags: str) -> np
     return np.linspace(start, stop, count)
 
 
-def _groups(count: int, rows_per_unit: int) -> list[slice]:
-    """``count`` units (alphas, or energy's (alpha, n) pairs) as slices of
-    consecutive ones, one per table mapping: each group gives at most
-    BLOCK_ROWS rows, or one unit where its rows are more."""
+def _sweep(part, units: int, rows_per_unit: int, ends=(0, -1)) -> Table:
+    """The table of ``units`` units (alphas, or energy's (alpha, n) pairs) of
+    ``rows_per_unit`` rows each, as ``part(indices)`` of consecutive groups of
+    unit indices: each group gives at most BLOCK_ROWS rows, or one unit where
+    its rows are more.
+
+    Every failure known in advance (an alpha too small for float64, an energy
+    that overflows) grows toward an end of the sweep: the units ``ends``, by
+    default the first and the last. So a table of several groups first
+    computes ``part(ends)``, which fails where any later part would, before
+    its first block and not after rows were written. A table of one group
+    needs no check: that group is computed when the table is made, before
+    anything is written.
+    """
     size = max(1, BLOCK_ROWS // rows_per_unit)
-    return [slice(first, min(first + size, count)) for first in range(0, count, size)]
-
-
-def _check_ends(alphas: np.ndarray, n_trunc: int) -> None:
-    """Raise the error ``truncation_sums`` gives for the sweep's first and
-    last alpha: an ``n_trunc`` below 1, or a chamber-1 weight
-    2 alpha sin^2(alpha)/pi^3 that underflows. The weight rises with alpha, so
-    where any alpha of the sweep underflows an end does, and a streamed table
-    of several blocks fails here, before its first block, and not after rows
-    were written. A table of one block needs no check: that block is computed
-    when the table is made, before anything is written."""
-    truncation_sums(alphas[[0, -1]], n_trunc)
+    if units > size:
+        part(np.array(ends))
+    return Table((part(np.arange(first, min(first + size, units)))
+                  for first in range(0, units, size)), units * rows_per_unit)
 
 
 def _number_list(cast):
@@ -359,13 +362,10 @@ def _apply_config(parser: argparse.ArgumentParser, flags: argparse.Namespace) ->
 def run_cost(args: argparse.Namespace):
     alphas = _alphas(args, 1, "--alpha-sweep count")
     bm = BarrierModel(args.epsilon)
-    groups = _groups(len(alphas), 1)
-    if len(groups) > 1:
-        _check_ends(alphas, args.n_trunc)
     # one report per group of BLOCK_ROWS alphas: its fields, in field order,
     # are the columns of one mapping
-    return Table((vars(post_insertion_cost(alphas[group], args.n_trunc, bm))
-                  for group in groups), len(alphas))
+    return _sweep(lambda units: vars(post_insertion_cost(alphas[units], args.n_trunc, bm)),
+                  len(alphas), 1)
 
 
 # ---------------------------------------------------------------- coeffs
@@ -374,41 +374,47 @@ def run_coeffs(args: argparse.Namespace):
     n_trunc = args.n_trunc
     _check_limit("--n-trunc", n_trunc, COEFFS_N_LIMIT)
     alphas = _alphas(args, n_trunc, "--alpha-sweep count x --n-trunc")
-    modes = np.arange(1, n_trunc + 1)
-    groups = [alphas[group] for group in _groups(len(alphas), n_trunc)]
-    # each part's n, flattened with alpha outer and n inner, is a view of one tiled column
-    n = np.tile(modes, len(groups[0]))
-    parts = []
-    logs = []
-    for group in groups:
-        closed = {kind: coefficient(kind, modes, group[:, None]) for kind in COEFF_KINDS}
-        # norm_k is k on its chamber's orthonormal modes, sqrt(2 pi / width) * k:
-        # kinds a and c lie in chamber 1 of width alpha, b and d in chamber 2
-        widths = dict(zip(COEFF_KINDS, (group, TWO_PI - group) * 2))
-        # one batched quadrature per chamber and alpha, shared by the table and the sign check
-        oracles = [oracle_coefficients(alpha, n_trunc) for alpha in group.tolist()]
-        oracle = {kind: np.stack([values[kind] for values in oracles]) for kind in COEFF_KINDS}
-        # both candidates have the same coefficient magnitudes, so the same deficit
-        deficit = np.repeat(truncation_sums(group, n_trunc).deficit, n_trunc)
-        parts.append({
-            "alpha": np.repeat(group, n_trunc), "n": n[:group.size * n_trunc],
-            **{kind: closed[kind].ravel() for kind in COEFF_KINDS},
-            **{f"norm_{kind}": (np.sqrt(TWO_PI / widths[kind])[:, None] * closed[kind]).ravel()
-               for kind in COEFF_KINDS},
-            **{f"oracle_{kind}": oracle[kind].ravel() for kind in COEFF_KINDS},
-            **{f"abs_diff_{kind}": np.abs(closed[kind] - oracle[kind]).ravel()
-               for kind in COEFF_KINDS},
-            "deficit_reference": deficit, "deficit_shifted": deficit,
-        })
-        logs.append(sign_discrepancies(group[:, None], oracle))
-    discrepancies = Table(logs, sum(len(log["n"]) for log in logs))
+    # an n_trunc below 1, or an alpha too small for float64, is refused at
+    # the sweep's ends before any quadrature runs
+    truncation_sums(alphas[[0, -1]], n_trunc)
+    # the oracle may fail to converge at any alpha, which no check can know in
+    # advance: it runs over the whole sweep, one batched quadrature per chamber
+    # and alpha, and its values are kept for the table and the sign log
+    oracle = {kind: np.empty((alphas.size, n_trunc)) for kind in COEFF_KINDS}
+    for unit, alpha in enumerate(alphas.tolist()):
+        for kind, values in oracle_coefficients(alpha, n_trunc).items():
+            oracle[kind][unit] = values
+    log = sign_discrepancies(alphas[:, None], oracle)
+    discrepancies = Table([log], len(log["n"]))
     if args.discrepancies is not None:
         with open(args.discrepancies, "w", newline="") as fh:
             _write_csv(discrepancies, fh)
     elif len(discrepancies):
         print(f"note: {len(discrepancies)} oracle sign corrections recorded; "
               "pass --discrepancies PATH to write them", file=sys.stderr)
-    return Table(parts, alphas.size * n_trunc)
+    modes = np.arange(1, n_trunc + 1)
+
+    def part(units):
+        group = alphas[units]
+        closed = {kind: coefficient(kind, modes, group[:, None]) for kind in COEFF_KINDS}
+        kept = {kind: oracle[kind][units] for kind in COEFF_KINDS}
+        # norm_k is k on its chamber's orthonormal modes, sqrt(2 pi / width) * k:
+        # kinds a and c lie in chamber 1 of width alpha, b and d in chamber 2
+        widths = dict(zip(COEFF_KINDS, (group, TWO_PI - group) * 2))
+        # both candidates have the same coefficient magnitudes, so the same deficit
+        deficit = np.repeat(truncation_sums(group, n_trunc).deficit, n_trunc)
+        return {
+            "alpha": np.repeat(group, n_trunc), "n": np.tile(modes, group.size),
+            **{kind: closed[kind].ravel() for kind in COEFF_KINDS},
+            **{f"norm_{kind}": (np.sqrt(TWO_PI / widths[kind])[:, None] * closed[kind]).ravel()
+               for kind in COEFF_KINDS},
+            **{f"oracle_{kind}": kept[kind].ravel() for kind in COEFF_KINDS},
+            **{f"abs_diff_{kind}": np.abs(closed[kind] - kept[kind]).ravel()
+               for kind in COEFF_KINDS},
+            "deficit_reference": deficit, "deficit_shifted": deficit,
+        }
+
+    return _sweep(part, alphas.size, n_trunc)
 
 
 # ---------------------------------------------------------------- energy
@@ -420,13 +426,6 @@ def run_energy(args: argparse.Namespace):
     alphas = _alphas(args, nm_max**2, "--alpha-sweep count x --nm-max squared")
     both = args.variant == "both"
     variants = DELTA_E_VARIANTS if both else (args.variant,)
-    groups = _groups(alphas.size * nm_max, nm_max)
-    if len(groups) > 1:
-        # every level rises with n and m and is convex in alpha, so where any
-        # row overflows, the corner (nm_max, nm_max) at an end of the sweep
-        # does: as in _check_ends, the table fails here, before its first block
-        for v in variants:
-            delta_energy(nm_max, nm_max, alphas[[0, -1]], variant=v)
     idx = np.arange(1, nm_max + 1)
 
     def part(pairs):
@@ -442,8 +441,10 @@ def run_energy(args: argparse.Namespace):
         return {"alpha": np.repeat(alpha, nm_max), "n": np.repeat(n, nm_max),
                 "m": np.tile(idx, pairs.size), **columns}
 
-    return Table((part(np.arange(group.start, group.stop)) for group in groups),
-                 alphas.size * nm_max**2)
+    # every level rises with n and m and is convex in alpha, so the rows of
+    # n = nm_max at the sweep's first and last alpha are its ends
+    pairs = alphas.size * nm_max
+    return _sweep(part, pairs, nm_max, ends=(nm_max - 1, pairs - 1))
 
 
 # ---------------------------------------------------------------- evolve
@@ -482,15 +483,11 @@ def run_evolve(args: argparse.Namespace):
 def run_parseval(args: argparse.Namespace):
     count = len(args.n_trunc)
     alphas = _alphas(args, count, "--alpha-sweep count x --n-trunc count")
-    groups = _groups(len(alphas), count)
-    if len(groups) > 1:
-        # underflow depends on alpha alone; the first block, computed when the
-        # table is made, checks every truncation
-        _check_ends(alphas, args.n_trunc[0])
 
-    def part(group):
+    def part(units):
         # alpha x truncation rows; both candidates have the same coefficient
         # magnitudes, so the same sums
+        group = alphas[units]
         sums = [truncation_sums(group, n_trunc) for n_trunc in args.n_trunc]
         deficit, completeness, sum_rule = (
             np.column_stack([getattr(s, name) for s in sums]).ravel()
@@ -505,7 +502,7 @@ def run_parseval(args: argparse.Namespace):
             "sum_rule_abs_error": np.abs(sum_rule - target),
         }
 
-    return Table((part(alphas[group]) for group in groups), len(alphas) * count)
+    return _sweep(part, len(alphas), count)
 
 
 # ---------------------------------------------------------------- parser

@@ -122,7 +122,8 @@ def test_str_column_is_not_copied_into_an_array(fmt, tmp_path, monkeypatch):
 
 
 def test_cost_sweep_computes_one_report_of_columns(tmp_path, monkeypatch):
-    # one report of columns per block of BLOCK_ROWS alphas, not one per alpha
+    # one report of columns per block of BLOCK_ROWS alphas, not one per alpha,
+    # after one of the sweep's two ends where there are several blocks
     calls = []
 
     def counted(alphas, *args):
@@ -130,7 +131,7 @@ def test_cost_sweep_computes_one_report_of_columns(tmp_path, monkeypatch):
         return post_insertion_cost(alphas, *args)
 
     monkeypatch.setattr(cli, "post_insertion_cost", counted)
-    for count, blocks in ((50, [50]), (2 * cli.BLOCK_ROWS + 5, [cli.BLOCK_ROWS] * 2 + [5])):
+    for count, blocks in ((50, [50]), (2 * cli.BLOCK_ROWS + 5, [2, *[cli.BLOCK_ROWS] * 2, 5])):
         calls.clear()
         assert main(["cost", "--alpha-sweep", f"0.1:1.5:{count}",
                      "--out", str(tmp_path / "cost.csv")]) == 0
@@ -749,9 +750,10 @@ def test_coeffs_computes_each_oracle_coefficient_once(tmp_path, capsys, monkeypa
 
 
 def test_coeffs_computes_a_group_of_alphas_per_part(tmp_path, monkeypatch):
-    # groups of BLOCK_ROWS // 14 = 292 alphas: one table part and one sign-log
-    # part each, from one call per kind of coefficient and one of
-    # truncation_sums and sign_discrepancies, and one oracle per alpha
+    # groups of BLOCK_ROWS // 14 = 292 alphas: one table part each, from one
+    # call per kind of coefficient and one of truncation_sums, after the part
+    # of the sweep's two ends; before them, the ends' truncation_sums, one
+    # oracle per alpha and one sign log of the whole sweep
     calls, block_rows = [], []
 
     def counted(name, fn):
@@ -775,11 +777,33 @@ def test_coeffs_computes_a_group_of_alphas_per_part(tmp_path, monkeypatch):
                  "--discrepancies", str(tmp_path / "disc.csv"),
                  "--out", str(tmp_path / "coeffs.csv")]) == 0
     # kind d flips for every n at these alphas, so the log has the table's
-    # rows; each part is one block
-    assert block_rows == [[292 * 14, 8 * 14]] * 2
-    group = ["coefficient"] * 4 + ["truncation_sums", "sign_discrepancies"]
-    assert [name for name in calls if name != "oracle_coefficients"] == group * 2
-    assert calls.count("oracle_coefficients") == 300
+    # rows, in one part; each part of the table is one block
+    assert block_rows == [[cli.BLOCK_ROWS, 300 * 14 - cli.BLOCK_ROWS], [292 * 14, 8 * 14]]
+    group = ["coefficient"] * 4 + ["truncation_sums"]
+    assert calls == ["truncation_sums", *["oracle_coefficients"] * 300, "sign_discrepancies",
+                     *group * 3]
+
+
+def test_coeffs_streams_its_table(tmp_path, monkeypatch):
+    # groups of 292 and 8 alphas: the second group's closed forms are computed
+    # after the first block is written, not before the first byte
+    events = []
+
+    def counted(kind, n, alpha):
+        events.append(("coefficient", len(alpha)))
+        return coefficient(kind, n, alpha)
+
+    def recorded(table, stream):
+        events.extend(("block", len(block[0])) for block in table.blocks())
+
+    coefficient = cli.coefficient
+    monkeypatch.setattr(cli, "coefficient", counted)
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    assert main(["coeffs", "--alpha-sweep", "0.3:1.5:300", "--n-trunc", "14",
+                 "--out", str(tmp_path / "coeffs.csv")]) == 0
+    # the part of the sweep's two ends, then each group in turn
+    assert events == [*[("coefficient", 2)] * 4, *[("coefficient", 292)] * 4,
+                      ("block", 292 * 14), *[("coefficient", 8)] * 4, ("block", 8 * 14)]
 
 
 def test_empty_sign_log_keeps_its_header(tmp_path, capsys, monkeypatch):
@@ -853,9 +877,9 @@ def test_energy_single_variant_column(capsys):
     ("both", ["nominal", "conserving"]),
 ])
 def test_energy_computes_only_the_variants_asked_for(variant, per_alpha, capsys, monkeypatch):
-    # one call per variant asked for at the corner (nm_max, nm_max) of the
-    # sweep's ends, then one per variant and group of BLOCK_ROWS // nm_max
-    # (alpha, n) pairs, with each pair in one group
+    # one call per variant asked for on the rows of n = nm_max at the sweep's
+    # ends, then one per variant and group of BLOCK_ROWS // nm_max (alpha, n)
+    # pairs, with each pair in one group
     calls = []
 
     def counted(n, m, alpha, variant):
@@ -872,9 +896,9 @@ def test_energy_computes_only_the_variants_asked_for(variant, per_alpha, capsys,
     group = cli.BLOCK_ROWS // 4
     groups = [pairs[first:first + group] for first in range(0, len(pairs), group)]
     assert len(groups) == 3
-    corner = [(v, [4], [0.3, 1.5]) for v in per_alpha]
-    assert calls == corner + [(v, [n for _, n in part], [alpha for alpha, _ in part])
-                              for part in groups for v in per_alpha]
+    ends = [(v, [4, 4], [0.3, 1.5]) for v in per_alpha]
+    assert calls == ends + [(v, [n for _, n in part], [alpha for alpha, _ in part])
+                            for part in groups for v in per_alpha]
 
 
 # ---------------------------------------------------------------- evolve
@@ -1398,11 +1422,15 @@ def test_failed_write_to_stdout_exits_74():
     (["cost", "--config", "{config}"], "config file {config!r} must contain a JSON object"),
     (["energy", "--nm-max", "0"], "--nm-max must be >= 1"),
     (["evolve", "--grid-points", "1"], "--grid-points must be >= 2"),
-], ids=["sweep-count", "config-not-object", "nm-max", "grid-points"])
+    (["coeffs", "--n-trunc", "0"], "truncation must be >= 1, got 0"),
+    (["coeffs", "--config", "{zero}"], "truncation must be >= 1, got 0"),
+], ids=["sweep-count", "config-not-object", "nm-max", "grid-points", "coeffs-n-trunc",
+        "coeffs-n-trunc-config"])
 def test_invalid_setting_exits_2_with_its_message(argv, message, tmp_path, capsys):
-    config = str(tmp_path / "config.json")
+    config, zero = str(tmp_path / "config.json"), str(tmp_path / "zero.json")
     Path(config).write_text("[1, 2]")
-    code, out, err = run_cli([arg.format(config=config) for arg in argv], capsys)
+    Path(zero).write_text('{"n_trunc": 0}')
+    code, out, err = run_cli([arg.format(config=config, zero=zero) for arg in argv], capsys)
     assert code == 2
     assert out == ""
     assert err == f"ringsplit: {message.format(config=config)}\n"
