@@ -53,10 +53,10 @@ BLOCK_ROWS = 4096
 #: rows one table may hold; each subcommand checks its row count before it
 #: builds an array
 ROW_LIMIT = 10_000_000
-#: largest --n-trunc of coeffs, whose oracle costs O(N^2) quadrature nodes
-#: (one batched projection per chamber: 0.6 s at N = 500, 6.3 s at N = 2000
-#: and 202 s at this limit for one alpha on a 2-core Xeon), and of evolve;
-#: cost and parseval are O(1) in N
+#: largest --n-trunc of coeffs, whose oracle sums its panels by FFT (one
+#: batched projection per chamber: 0.16 s at N = 500, 0.18 s at N = 2000 and
+#: 0.45 s at this limit for one alpha, child wall time on a 2-core Xeon), and
+#: of evolve; cost and parseval are O(1) in N
 COEFFS_N_LIMIT = 10_000
 EVOLVE_N_LIMIT = 1_000_000
 #: evolve's --time-fracs when neither --time-fracs nor --times is given

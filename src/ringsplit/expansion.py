@@ -210,7 +210,7 @@ def oracle_coefficients(alpha: float, n_max: int) -> dict[str, np.ndarray]:
     ``oracle_coefficient`` gives them one at a time.
 
     One batched projection per chamber: the two candidates of a chamber share
-    its rule and its sine matrix, and ``_KINDS`` says which row is which kind.
+    its rule and its phases, and ``_KINDS`` says which row is which kind.
     """
     modes = np.arange(1, _check_truncation(n_max) + 1)
     rows = {chamber: _oracle(alpha, chamber, modes) for chamber in CHAMBERS}

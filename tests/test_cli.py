@@ -25,6 +25,9 @@ from ringsplit.expansion import COEFF_KINDS, ChamberGeometry, truncation_sums
 from table_checks import exact_sums
 
 PI4 = repr(math.pi / 4)
+#: largest |oracle - closed form| of a printed coeffs value (the FFT oracle
+#: meets 4.4e-16 from N = 12 to COEFFS_N_LIMIT)
+ORACLE_ABS_BOUND = 2e-15
 
 
 def run_cli(args, capsys):
@@ -338,7 +341,7 @@ def test_printed_coeffs_energy_sign_log_and_note_columns_obey_exact_identities(d
             assert (v["c"], v["d"]) == (sign * v["a"], sign * v["b"])
             for kind in COEFF_KINDS:
                 assert v[f"abs_diff_{kind}"] == abs(v[kind] - v[f"oracle_{kind}"])
-                assert abs(v[f"oracle_{kind}"] - v[kind]) <= 1e-12
+                assert abs(v[f"oracle_{kind}"] - v[kind]) <= ORACLE_ABS_BOUND
             assert v["deficit_reference"] == v["deficit_shifted"] \
                 == truncation_sums(v["alpha"], n_trunc).deficit
         by_mode = {(v["alpha"], v["n"]): v for v in rows}
@@ -584,21 +587,47 @@ def test_program_mode_runs_one_blas_thread(entry, preset, tmp_path):
     assert (tmp_path / "cost.csv").read_text().startswith("alpha,")
 
 
-def test_oracle_import_stays_deferred():
-    # numpy.polynomial loads all of its modules; only the oracle needs leggauss
+def test_coeffs_run_ends_without_numpy_polynomial(tmp_path):
+    # the oracle's Gauss rule is built by Newton's method: no run loads
+    # numpy.polynomial (all of its modules, 2-4 ms) or calls LAPACK for it
+    out = tmp_path / "coeffs.csv"
     probe = (
-        "import sys, numpy as np, ringsplit.cli\n"
-        "assert 'numpy.polynomial' not in sys.modules\n"
-        "from ringsplit.expansion import COEFF_KINDS, coefficient, oracle_coefficients\n"
-        "oracle = oracle_coefficients(0.7, 4)\n"
-        "for kind in COEFF_KINDS:\n"
-        "    assert np.allclose(oracle[kind], coefficient(kind, np.arange(1, 5), 0.7),\n"
-        "                       rtol=0, atol=1e-12), kind\n"
-        "print('numpy.polynomial' in sys.modules)\n")
+        "import runpy, sys\n"
+        f"sys.argv = ['ringsplit', 'coeffs', '--alpha', '0.7', '--n-trunc', '40', '--out', {str(out)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('ringsplit.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy.polynomial' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True\n"
+    assert result.stdout == "0 False\n"
+    rows = _printed_values(out)
+    assert len(rows) == 40
+    assert all(abs(v[f"oracle_{kind}"] - v[kind]) <= ORACLE_ABS_BOUND
+               for v in rows for kind in COEFF_KINDS)
+
+
+def test_coeffs_at_the_truncation_limit(tmp_path):
+    # the FFT oracle makes N = COEFFS_N_LIMIT cheap: every oracle value of the
+    # table is within the absolute bound of the closed form
+    out = tmp_path / "coeffs.csv"
+    assert main(["coeffs", "--alpha", "0.7", "--n-trunc", str(cli.COEFFS_N_LIMIT),
+                 "--out", str(out)]) == 0
+    rows = _printed_values(out)
+    assert [v["n"] for v in rows] == list(range(1, cli.COEFFS_N_LIMIT + 1))
+    worst = max(abs(v[f"oracle_{kind}"] - v[kind]) for v in rows for kind in COEFF_KINDS)
+    assert worst <= ORACLE_ABS_BOUND
+    # its peak stays O(N + panels): the Gauss points are transformed a group at
+    # a time, and no table is kept at this size (3.73 MB measured; the child
+    # peak of the dense route was 55 MB of RSS)
+    tracemalloc.start()
+    try:
+        ringsplit.oracle_coefficients(0.7, cli.COEFFS_N_LIMIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 3.73e6, peak
 
 
 def test_program_mode_writes_the_bytes_of_main(tmp_path, capsys):

@@ -77,19 +77,44 @@ def test_project_modes_matches_per_mode_integration(alpha):
                 assert abs(value - reference) <= 1e-14, (lo, n)
 
 
-def test_project_modes_independent_of_row_block(monkeypatch):
+def test_project_modes_independent_of_the_modes_asked_for(monkeypatch):
     (lo, hi), waves = _chamber_waves(math.pi / 4)[1]
     modes = np.arange(1, 301)
     default = project_modes(waves, lo, hi, modes)
-    for block in (1, 1000):
-        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
-        # each value is a pairwise sum along one row, so the block shape
-        # changes no bit
-        assert np.array_equal(project_modes(waves, lo, hi, modes), default)
+    # the nodes and phases of modes 1..300 come from the kept table; computed
+    # per group of Gauss points, for other modes in another order or with no
+    # table kept, they give the same bits, since each value depends only on
+    # n, the panel count and the waveform
+    picked = np.array([300, 7, 150, 1, 299])
+    assert np.array_equal(project_modes(waves, lo, hi, picked), default[:, picked - 1])
+    monkeypatch.setattr(quadrature, "LEVEL_CACHE_VALUES", 0)
+    assert np.array_equal(project_modes(waves, lo, hi, modes), default)
     # nor does projecting one mode and one waveform alone (4 panels up to mode 16)
+    monkeypatch.undo()
     small = project_modes(waves, lo, hi, modes[:16])
     assert all(project_mode(f, lo, hi, n) == small[i, n - 1]
                for i, f in enumerate(waves) for n in range(1, 17))
+
+
+def test_gauss_rule_is_symmetric_and_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    nodes, weights = quadrature._gauss_rule()
+    order = quadrature.ORDER
+    assert nodes.shape == weights.shape == (order,)
+    assert np.all(np.diff(nodes) > 0)
+    # mirrored bit for bit, as numpy's leggauss makes its rule
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    with mp.workdps(40):
+        for node, weight in zip(nodes[order // 2:].tolist(), weights[order // 2:].tolist()):
+            root = mp.findroot(lambda t: mp.legendre(order, t), mp.mpf(node))
+            slope = order * (mp.legendre(order - 1, root) - root * mp.legendre(order, root)) \
+                / (1 - root ** 2)
+            exact = 2 / ((1 - root ** 2) * slope ** 2)
+            assert abs(node - root) <= math.ulp(node), node
+            assert abs((weight - exact) / exact) <= 2e-13, node
+    # exact for every polynomial up to degree 2 * ORDER - 1
+    for j in range(order):
+        assert abs(np.sum(weights * nodes ** (2 * j)) - 2 / (2 * j + 1)) <= 1e-15, j
 
 
 def test_project_modes_kink_fails_with_estimate():
