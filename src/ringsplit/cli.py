@@ -48,8 +48,15 @@ EXIT_IO_ERROR = 74
 VARIANT_CHOICES = DELTA_E_VARIANTS + ("both",)
 FORMAT_CHOICES = ("csv", "json")
 
-#: rows converted from numpy to Python values at a time
+#: rows of a block, the unit the writers format a table in
 BLOCK_ROWS = 4096
+#: blocks of fewer rows are written row by row from Python values, one
+#: %-format per row; larger ones are formatted by column in numpy, whose fixed
+#: cost per call (about 0.1 ms a column) they repay: the two cost about the
+#: same between 400 and 700 rows of energy, cost and evolve tables
+BULK_ROWS = 700
+#: bytes of row text (NUL padding included) the bulk writer builds at once
+TEXT_BYTES = 1 << 16
 #: rows one table may hold; each subcommand checks its row count before it
 #: builds an array
 ROW_LIMIT = 10_000_000
@@ -77,7 +84,9 @@ class Table:
     mappings may differ in length.
 
     A column is a 1-D numpy array: of floats, of ints, or of objects, which
-    hold text and ints beyond int64.
+    hold text and ints beyond int64. The writers take a table a block of
+    ``blocks()`` at a time and format each block whole, by column
+    (``_write_rows``), so one mapping and one block's text cells are held.
     """
 
     def __init__(self, parts, rows: int) -> None:
@@ -116,35 +125,95 @@ def _holds_one_value(col) -> bool:
     return col.tobytes() == col[:1].tobytes() * len(col)
 
 
-def _write_rows(stream, row_format, column_format, table: Table, sep: str) -> None:
+def _write_rows(stream, pieces, column_format, float_text, table: Table, sep: str) -> None:
     """Write every row of ``table``, with ``sep`` between rows.
 
-    ``column_format(col)`` gives a column's %-format and its cells, ``tolist``
-    of the column in the form that format reads, and ``row_format(cells)`` is
-    the format of a row whose columns take the texts or formats ``cells``. A
+    A row is ``pieces[0]``, the first column's cell, ``pieces[1]``, and so on
+    to ``pieces[-1]``. ``column_format(col)`` gives a column's %-format and
+    its cells, ``tolist`` of the column in the form that format reads. A
     column that holds one value over a block of ``table.blocks()`` (text and
-    ints beyond int64 too) has its first cell formatted once, and that text,
-    with ``%`` escaped, goes literally into the block's row format; the other
-    columns fill each row. Rows go to the stream one by one, so no text of
-    more than one row is held at once.
+    ints beyond int64 too) has its first cell formatted once, and that text
+    goes into the block's rows as it stands.
+
+    A block of fewer than BULK_ROWS rows fills one %-format per row. A larger
+    one is formatted by column in numpy (``_cells``, with ``float_text`` the
+    ``(shortest, fallback)`` of its floats), and its text is built and
+    written TEXT_BYTES at a time, so one block's cells and that much text are
+    held at once.
     """
     for index, block in enumerate(table.blocks()):
-        cells, varying = [], []
-        for col in block:
-            one = _holds_one_value(col)
-            fmt, values = column_format(col[:1] if one else col)
-            if one:
-                cells.append((fmt % values[0]).replace("%", "%%"))
+        rows = len(block[0])
+        # the text between the columns that vary, with each constant's text
+        # in it, and the varying columns
+        between, varying = [pieces[0]], []
+        for col, piece in zip(block, pieces[1:]):
+            if _holds_one_value(col):
+                fmt, values = column_format(col[:1])
+                between[-1] += fmt % values[0] + piece
             else:
-                cells.append(fmt)
-                varying.append(values)
-        rows = zip(*varying) if varying else itertools.repeat((), len(block[0]))
-        block_format = row_format(cells)
-        if not index:
-            stream.write(block_format % next(rows))
-        later = sep + block_format
-        stream.writelines(later % row for row in rows)
-        del block, cells, varying, rows  # before the next block is computed
+                varying.append(col)
+                between.append(piece)
+        cells = _cells(varying, between, column_format, float_text) \
+            if rows >= BULK_ROWS else None
+        if cells is None:
+            formats, values = zip(*map(column_format, varying)) if varying else ((), ())
+            escaped = [text.replace("%", "%%") for text in between]
+            block_format = "".join(itertools.chain(*zip(escaped, formats), escaped[-1:]))
+            records = zip(*values) if values else itertools.repeat((), rows)
+            if not index:
+                stream.write(block_format % next(records))
+            later = sep + block_format
+            stream.writelines(later % record for record in records)
+        else:
+            between[0] = sep + between[0]
+            _write_text(stream, between, cells, rows, 0 if index else len(sep))
+        del block, varying, cells, rows  # before the next block is computed
+
+
+def _cells(columns, between, column_format, float_text):
+    """The NUL-padded cells of each column, as (rows, width) uint8 arrays:
+    floats and signed ints formatted in numpy, other columns (text, ints
+    beyond int64) cell by cell through ``column_format``, in UTF-8. None
+    where a text, in a cell or ``between``, holds a NUL of its own, which the
+    bulk writer would drop."""
+    from . import _text
+    cells = []
+    for col in columns:
+        if col.dtype.kind == "f":
+            cells.append(_text.float_cells(col, *float_text))
+        elif col.dtype.kind == "i":
+            cells.append(_text.int_cells(col))
+        else:
+            fmt, values = column_format(col)
+            texts = [fmt % value for value in values]
+            between = between + texts
+            encoded = np.array([text.encode() for text in texts])
+            cells.append(encoded.view(np.uint8).reshape(len(texts), -1))
+    return None if any("\0" in text for text in between) else cells
+
+
+def _write_text(stream, between, cells, rows: int, skip: int) -> None:
+    """Write ``rows`` rows whose columns have the NUL-padded ``cells``, with
+    the texts ``between`` around them, TEXT_BYTES of row buffer at a time;
+    the first ``skip`` characters are left out."""
+    literals = [np.frombuffer(text.encode(), np.uint8) for text in between]
+    width = sum(map(len, literals)) + sum(cell.shape[1] for cell in cells)
+    step = max(1, TEXT_BYTES // width)
+    for start in range(0, rows, step):
+        count = min(step, rows - start)
+        text = bytearray(count * width)
+        buffer = np.frombuffer(text, np.uint8).reshape(count, width)
+        at = 0
+        for literal, cell in itertools.zip_longest(literals, cells):
+            buffer[:, at:at + len(literal)] = literal
+            at += len(literal)
+            if cell is not None:
+                buffer[:, at:at + cell.shape[1]] = cell[start:start + count]
+                at += cell.shape[1]
+        del buffer  # releases the bytearray's export
+        text = text.translate(None, b"\0").decode()
+        stream.write(text if start else text[skip:])
+        del text
 
 
 def _csv_format(col):
@@ -161,7 +230,8 @@ def _csv_format(col):
 def _write_csv(table: Table, stream) -> None:
     """CSV as ``csv.writer`` writes it, floats as ``format(x, ".17g")``."""
     stream.write(",".join(table.header) + "\n")
-    _write_rows(stream, lambda cells: ",".join(cells) + "\n", _csv_format, table, "")
+    pieces = [""] + [","] * (len(table.header) - 1) + ["\n"]
+    _write_rows(stream, pieces, _csv_format, (False, "%.17g".__mod__), table, "")
 
 
 def _json_column(col):
@@ -183,13 +253,10 @@ def _write_json(table: Table, stream) -> None:
         stream.write("[]\n")
         return
     keys = [json.dumps(key) for key in table.header]
-
-    def row_format(cells):
-        return "  {\n" + ",\n".join(f"    {key}: {cell}" for key, cell in zip(keys, cells)) \
-            + "\n  }"
-
+    pieces = [f"  {{\n    {keys[0]}: "] + [f",\n    {key}: " for key in keys[1:]] + ["\n  }"]
     stream.write("[\n")
-    _write_rows(stream, row_format, _json_column, table, ",\n")
+    # json.dumps writes a finite float as its repr, and NaN and infinities as JSON does
+    _write_rows(stream, pieces, _json_column, (True, json.dumps), table, ",\n")
     stream.write("\n]\n")
 
 

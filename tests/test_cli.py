@@ -231,11 +231,13 @@ def test_tables_match_checked_in_digests(digest_runs):
     assert lines == manifest.read_text().splitlines()
 
 
-def test_cost_and_parseval_tables_call_no_numpy_transcendental(tmp_path, capsys, monkeypatch):
-    # every cost and parseval run of tools/cli_digests.py, in-process, with
-    # numpy's transcendental functions refused: the tables come from IEEE
-    # arithmetic in numpy and math's sin and cos per alpha, so their bytes
-    # should not depend on the numpy build
+def test_cost_parseval_and_energy_tables_call_no_numpy_transcendental(tmp_path, capsys,
+                                                                       monkeypatch):
+    # every cost, parseval and energy run of tools/cli_digests.py, in-process,
+    # with numpy's transcendental functions refused: the tables come from IEEE
+    # arithmetic in numpy and math's sin and cos per alpha, and the writer
+    # seeds each float's decimal exponent from np.frexp's exact binary one, so
+    # their bytes should not depend on the numpy build or its SIMD level
     tool = _load_by_path("tools", "cli_digests.py")
     monkeypatch.delenv("RINGSPLIT_CONFIG", raising=False)
     manifest = set(Path(tool.__file__).with_name("cli_digests.sha256").read_text().splitlines())
@@ -243,16 +245,17 @@ def test_cost_and_parseval_tables_call_no_numpy_transcendental(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("a numpy transcendental function was called")
 
-    for name in ("sin", "cos", "tan", "exp", "log", "power"):
+    for name in ("sin", "cos", "tan", "exp", "log", "log10", "log2", "power"):
         monkeypatch.setattr(np, name, refuse)
+    commands = ("cost", "parseval", "energy")
     runs = 0
     for argv, (path, *_) in tool.invocations(tmp_path):
-        if argv[0] in ("cost", "parseval"):
+        if argv[0] in commands:
             assert main(argv) == 0, argv
             assert tool.digest_line(path) in manifest, argv
             runs += 1
     capsys.readouterr()
-    assert runs == 2 * sum(argv[0] in ("cost", "parseval") for argv in tool.RUNS.values())
+    assert runs == 2 * sum(argv[0] in commands for argv in tool.RUNS.values())
 
 
 def _printed_rows(path):
@@ -1157,7 +1160,8 @@ def reference_json(header, rows):
 def synthetic_table(n_rows):
     """Columns of every kind the writers take, with the float extremes."""
     rng = np.random.default_rng(7)
-    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    # ldexp is exact, where numpy's power may differ in the last bit by SIMD level
+    floats = np.ldexp(rng.standard_normal(n_rows), rng.integers(-1000, 1000, n_rows))
     floats[:4] = [-0.0, 5e-324, 1e308, 1.0 / 3.0][:n_rows]
     nonfinite = rng.random(n_rows)
     nonfinite[1::5] = math.nan
@@ -1250,6 +1254,51 @@ def test_writers_match_references_over_many_parts(make, part_rows):
     parts = [{name: col[start:start + part_rows] for name, col in columns.items()}
              for start in range(0, n_rows, part_rows)]
     assert_writers_match_references(parts, rows)
+
+
+#: writes the synthetic writer tables and the energy digest runs, and prints
+#: the sha256 of each text; run as a child, with this file's directory on
+#: sys.path and the output directory as its argument
+PORTABLE_PROBE = """
+import hashlib, io, sys
+from pathlib import Path
+import test_cli
+from ringsplit import cli
+tool = test_cli._load_by_path("tools", "cli_digests.py")
+for make in (test_cli.synthetic_table, lambda n: test_cli.constant_block_table(n, True)):
+    columns, rows = make(2 * cli.BLOCK_ROWS + 5)
+    for write in (cli._write_csv, cli._write_json):
+        stream = io.StringIO()
+        write(cli.Table([columns], len(rows)), stream)
+        print(hashlib.sha256(stream.getvalue().encode()).hexdigest(), write.__name__)
+for argv, files in tool.invocations(Path(sys.argv[1])):
+    if argv[0] == "energy":
+        assert cli.main(argv) == 0, argv
+        print(*map(tool.digest_line, files))
+"""
+
+
+def test_written_bytes_do_not_depend_on_the_simd_level(tmp_path):
+    # the same tables with numpy held to its baseline: every SIMD level it
+    # dispatches to at run time disabled (the names differ by architecture)
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy dispatches to no SIMD level above its baseline")
+    env = subprocess_env()
+    env["PYTHONPATH"] = os.pathsep.join((str(Path(__file__).resolve().parent), env["PYTHONPATH"]))
+    printed = []
+    for name, features in (("native", None), ("baseline", " ".join(__cpu_dispatch__))):
+        child_env = dict(env, NPY_DISABLE_CPU_FEATURES=features) if features else env
+        (tmp_path / name).mkdir()
+        result = subprocess.run([sys.executable, "-c", PORTABLE_PROBE, str(tmp_path / name)],
+                                env=child_env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout.splitlines())
+    native, baseline = printed
+    energy_runs = sum(argv[0] == "energy" for argv in _load_by_path("tools", "cli_digests.py")
+                      .RUNS.values())
+    assert len(native) == 4 + 2 * energy_runs  # two tables in two formats, each run in two
+    assert baseline == native
 
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])

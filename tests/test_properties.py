@@ -12,6 +12,7 @@ from ringsplit import (BarrierModel, cli, coefficient, expand,  # noqa: E402
                        oracle_coefficient, oracle_coefficients, post_insertion_cost,
                        reference_state, ring_overlap, shifted_state, sign_discrepancies,
                        truncation_sums)
+from test_cli import assert_writers_match_references, table_rows  # noqa: E402
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -100,3 +101,65 @@ def test_libm_columns_equal_the_ring_overlap_bit_for_bit(alphas):
                                                     "--n-trunc", "10"]))
         (cell,) = next(table.blocks())[table.header.index("ring_overlap")]
         assert cell.hex() == c.hex()
+
+
+#: row counts on both sides of the writer's break-even and of a block
+WRITER_ROWS = (1, cli.BULK_ROWS - 1, cli.BULK_ROWS, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
+               cli.BLOCK_ROWS + 1, cli.BLOCK_ROWS + cli.BULK_ROWS)
+#: text that needs no CSV quoting: a %, a backslash, a tab, accents and a NUL
+CELL_TEXT = st.text(st.sampled_from("ab %\\\té☃\0"), max_size=6)
+
+
+def _drawn_floats(rng, kind, n):
+    """n float64 values of one kind, drawn from ``rng``."""
+    if kind == "bits":
+        # every exponent, both signs: zeros, subnormals, NaN and infinities among them
+        return rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    if kind == "decimal":
+        # few significant digits, where repr is short
+        return rng.integers(-10**6, 10**6, n) / 10.0 ** rng.integers(-20, 25, n)
+    if kind == "scaled":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 307, n)
+    # powers of two, and powers of ten with their neighbours, of both signs
+    tens = 10.0 ** rng.integers(-300, 308, n)
+    tens = np.where(rng.random(n) < 1 / 3, tens,
+                    np.nextafter(tens, np.where(rng.random(n) < 0.5, 0.0, np.inf)))
+    powers = np.where(rng.random(n) < 0.5, np.ldexp(1.0, rng.integers(-1074, 1024, n)), tens)
+    return powers * rng.choice([-1.0, 1.0], n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_rows=st.sampled_from(WRITER_ROWS), part_rows=st.sampled_from((None, 7, cli.BULK_ROWS)),
+       seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(("bits", "decimal", "scaled", "powers")),
+                      min_size=1, max_size=3),
+       specials=st.lists(st.floats(width=64), max_size=12),
+       texts=st.lists(CELL_TEXT, min_size=1, max_size=4),
+       constant=st.lists(st.booleans(), min_size=7, max_size=7))
+def test_writers_match_references_on_drawn_columns(n_rows, part_rows, seed, kinds, specials,
+                                                   texts, constant):
+    # float bit patterns at every exponent (hypothesis adds +-0, subnormals,
+    # NaN and infinities among the specials), int64 over its range, and
+    # object columns of text and ints beyond int64; any column may hold one
+    # value. Both writers must give the csv and json modules' text, with
+    # Python's per-value formatting, whichever path a block takes
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for i, kind in enumerate(kinds):
+        values = _drawn_floats(rng, kind, n_rows)
+        at = rng.integers(0, n_rows, len(specials))
+        values[at] = specials
+        columns[f"float_{kind}_{i}"] = values
+    ints = rng.integers(-2**63, 2**63 - 1, n_rows, endpoint=True)
+    ints[rng.integers(0, n_rows, 3)] = [-2**63, 2**63 - 1, 0]
+    columns["int"] = ints
+    columns["small_int"] = rng.integers(-3, 300, n_rows)
+    columns["text"] = np.array(texts, dtype=object)[rng.integers(0, len(texts), n_rows)]
+    columns["big_int"] = np.array([2**64, -2**80 - 1, 7], dtype=object)[rng.integers(0, 3, n_rows)]
+    for name, one in zip(list(columns), constant):
+        if one:
+            columns[name] = np.repeat(columns[name][:1], n_rows)
+    step = part_rows or n_rows
+    parts = [{name: col[start:start + step] for name, col in columns.items()}
+             for start in range(0, n_rows, step)]
+    assert_writers_match_references(parts, table_rows(columns))

@@ -14,8 +14,9 @@ tables byte-identical prints the same lines. Exits 1 if any run fails.
 ``cli_digests.sha256`` next to this script holds the lines of the current
 tables, generated with numpy 2.4.6, and the test suite checks them. The
 columns that ``coeffs`` and ``evolve`` compute through numpy's ``sin``,
-``exp`` or FFT may differ in the last bit on another numpy; ``cost`` and
-``parseval`` call none of these, which a test checks. A change that moves
+``exp`` or FFT may differ in the last bit on another numpy; ``cost``,
+``parseval`` and ``energy`` call none of these, and neither does the writer,
+which tests check. A change that moves
 bytes on purpose regenerates the file with
 ``python3 tools/cli_digests.py > tools/cli_digests.sha256``.
 """
