@@ -2,12 +2,12 @@
 
 Subcommands: ``cost``, ``coeffs``, ``energy``, ``evolve``, ``parseval``. Each
 accepts only the flags it reads, and its ``run_<command>`` takes the parsed
-namespace. Output is deterministic: floats are printed with 17 significant
-digits and a '.' decimal point, rows are ordered by sweep index, so identical
-configurations give byte-identical files. Configuration precedence is flags >
-config file (JSON, path from --config or the RINGSPLIT_CONFIG environment
-variable) > built-in defaults; config values are converted and checked by the
-same argparse types and choices as the flags.
+namespace. Output is deterministic: floats are printed as '%.17g' in CSV and
+as their repr in JSON, with a '.' decimal point, rows are ordered by sweep
+index, so identical configurations give byte-identical files. Configuration
+precedence is flags > config file (JSON, path from --config or the
+RINGSPLIT_CONFIG environment variable) > built-in defaults; config values are
+converted and checked by the same argparse types and choices as the flags.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .quadrature import ConvergenceError
 # perfbench/spans.py patches oracle_coefficient and the ring states, which are unused here
 from .expansion import (CANDIDATES, COEFF_KINDS, DELTA_E_VARIANTS,  # noqa: F401
                         ChamberGeometry, coefficient, delta_energy, expand, oracle_coefficient,
-                        oracle_coefficients, sign_discrepancies, truncation_sums)
+                        oracle_coefficients, per_alpha, sign_discrepancies, truncation_sums)
 from .ring import TWO_PI, reference_state, ring_overlap, shifted_state  # noqa: F401
 
 ENV_CONFIG = "RINGSPLIT_CONFIG"
@@ -50,12 +50,12 @@ FORMAT_CHOICES = ("csv", "json")
 
 #: rows of a block, the unit the writers format a table in
 BLOCK_ROWS = 4096
-#: blocks of fewer rows are written row by row from Python values, one
-#: %-format per row; larger ones are formatted by column in numpy, whose fixed
-#: cost per call (about 0.1 ms a column) they repay: the two cost about the
-#: same between 400 and 700 rows of energy, cost and evolve tables
+#: blocks of at least this many rows have their float and int columns
+#: formatted in numpy (ringsplit._text), whose fixed cost per call (about
+#: 0.1 ms a column) they repay; a smaller block formats each such column with
+#: one Python %-format, and so never imports it
 BULK_ROWS = 700
-#: bytes of row text (NUL padding included) the bulk writer builds at once
+#: bytes of row text (NUL padding included) the writer builds at once
 TEXT_BYTES = 1 << 16
 #: rows one table may hold; each subcommand checks its row count before it
 #: builds an array
@@ -85,7 +85,7 @@ class Table:
 
     A column is a 1-D numpy array: of floats, of ints, or of objects, which
     hold text and ints beyond int64. The writers take a table a block of
-    ``blocks()`` at a time and format each block whole, by column
+    ``blocks()`` at a time and lay each out one way, whole and by column
     (``_write_rows``), so one mapping and one block's text cells are held.
     """
 
@@ -133,19 +133,17 @@ def _write_rows(stream, pieces, column_format, float_text, table: Table, sep: st
     its cells, ``tolist`` of the column in the form that format reads. A
     column that holds one value over a block of ``table.blocks()`` (text and
     ints beyond int64 too) has its first cell formatted once, and that text
-    goes into the block's rows as it stands.
-
-    A block of fewer than BULK_ROWS rows fills one %-format per row. A larger
-    one is formatted by column in numpy (``_cells``, with ``float_text`` the
-    ``(shortest, fallback)`` of its floats), and its text is built and
-    written TEXT_BYTES at a time, so one block's cells and that much text are
-    held at once.
+    goes into the block's rows as it stands. The others become NUL-padded
+    cells (``_cells``; ``float_text`` is the ``(shortest, fallback)`` of the
+    floats), and every block, whatever its size, is built and written
+    TEXT_BYTES of text at a time with its NULs dropped (no cell or piece holds
+    one of its own), so one block's cells and that much text are held.
     """
     for index, block in enumerate(table.blocks()):
         rows = len(block[0])
         # the text between the columns that vary, with each constant's text
         # in it, and the varying columns
-        between, varying = [pieces[0]], []
+        between, varying = [sep + pieces[0]], []
         for col, piece in zip(block, pieces[1:]):
             if _holds_one_value(col):
                 fmt, values = column_format(col[:1])
@@ -153,43 +151,35 @@ def _write_rows(stream, pieces, column_format, float_text, table: Table, sep: st
             else:
                 varying.append(col)
                 between.append(piece)
-        cells = _cells(varying, between, column_format, float_text) \
-            if rows >= BULK_ROWS else None
-        if cells is None:
-            formats, values = zip(*map(column_format, varying)) if varying else ((), ())
-            escaped = [text.replace("%", "%%") for text in between]
-            block_format = "".join(itertools.chain(*zip(escaped, formats), escaped[-1:]))
-            records = zip(*values) if values else itertools.repeat((), rows)
-            if not index:
-                stream.write(block_format % next(records))
-            later = sep + block_format
-            stream.writelines(later % record for record in records)
-        else:
-            between[0] = sep + between[0]
-            _write_text(stream, between, cells, rows, 0 if index else len(sep))
+        cells = _cells(varying, column_format, float_text, rows >= BULK_ROWS)
+        _write_text(stream, between, cells, rows, 0 if index else len(sep))
         del block, varying, cells, rows  # before the next block is computed
 
 
-def _cells(columns, between, column_format, float_text):
-    """The NUL-padded cells of each column, as (rows, width) uint8 arrays:
-    floats and signed ints formatted in numpy, other columns (text, ints
-    beyond int64) cell by cell through ``column_format``, in UTF-8. None
-    where a text, in a cell or ``between``, holds a NUL of its own, which the
-    bulk writer would drop."""
-    from . import _text
+def _cells(columns, column_format, float_text, bulk: bool):
+    """The NUL-padded cells of each column, as (rows, width) uint8 arrays.
+    With ``bulk``, floats and signed ints are formatted in numpy; other
+    number columns take one %-format of the whole column, each cell padded
+    with spaces to 25 characters (a number's text is at most 24 and holds
+    none), which become NULs; text and ints beyond int64 are formatted cell
+    by cell, in UTF-8. The %-formats come from ``column_format``."""
     cells = []
     for col in columns:
-        if col.dtype.kind == "f":
-            cells.append(_text.float_cells(col, *float_text))
-        elif col.dtype.kind == "i":
-            cells.append(_text.int_cells(col))
+        kind = col.dtype.kind
+        if bulk and kind in "fi":
+            from . import _text
+            cells.append(_text.float_cells(col, *float_text) if kind == "f"
+                         else _text.int_cells(col))
+            continue
+        fmt, values = column_format(col)
+        if kind == "O":
+            encoded = np.array([(fmt % value).encode() for value in values])
+            cells.append(encoded.view(np.uint8).reshape(len(values), -1))
         else:
-            fmt, values = column_format(col)
-            texts = [fmt % value for value in values]
-            between = between + texts
-            encoded = np.array([text.encode() for text in texts])
-            cells.append(encoded.view(np.uint8).reshape(len(texts), -1))
-    return None if any("\0" in text for text in between) else cells
+            text = (("%-25" + fmt[1:]) * len(values)) % tuple(values)
+            cells.append(np.frombuffer(text.encode().replace(b" ", b"\0"), np.uint8)
+                         .reshape(len(values), -1))
+    return cells
 
 
 def _write_text(stream, between, cells, rows: int, skip: int) -> None:
@@ -211,8 +201,12 @@ def _write_text(stream, between, cells, rows: int, skip: int) -> None:
                 buffer[:, at:at + cell.shape[1]] = cell[start:start + count]
                 at += cell.shape[1]
         del buffer  # releases the bytearray's export
-        text = text.translate(None, b"\0").decode()
-        stream.write(text if start else text[skip:])
+        # at most two copies of the text at a time; the skipped text is ASCII
+        text = text.translate(None, b"\0")
+        if not start:
+            del text[:skip]
+        text = text.decode()
+        stream.write(text)
         del text
 
 
@@ -222,8 +216,8 @@ def _csv_format(col):
     if col.dtype.kind != "O":
         return "%.17g" if col.dtype.kind == "f" else "%d", cells
     # the writer does no quoting, so a text cell must need none
-    assert not any(ch in cell for cell in cells if isinstance(cell, str) for ch in ',"\r\n'), \
-        "a CSV string cell holds a comma, a quote or a line break"
+    assert not any(ch in cell for cell in cells if isinstance(cell, str) for ch in ',"\r\n\0'), \
+        "a CSV string cell holds a comma, a quote, a line break or a NUL"
     return "%s", cells  # "%s" of an int is its "%d" text
 
 
@@ -559,7 +553,7 @@ def run_parseval(args: argparse.Namespace):
         deficit, completeness, sum_rule = (
             np.column_stack([getattr(s, name) for s in sums]).ravel()
             for name in ("deficit", "completeness", "sum_rule"))
-        target = np.repeat(np.fromiter(map(math.cos, group.tolist()), float, group.size), count)
+        target = np.repeat(per_alpha(math.cos, group), count)
         return {
             # np.tile makes an object array of ints beyond int64
             "alpha": np.repeat(group, count), "n_trunc": np.tile(args.n_trunc, len(group)),

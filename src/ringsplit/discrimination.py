@@ -31,7 +31,7 @@ import numpy as np
 
 # expand and the ring names are not called here; the perfbench tracer patches them
 from .expansion import (ChamberExpansion, ChamberGeometry, expand,  # noqa: F401
-                        truncation_sums)
+                        per_alpha, truncation_sums)
 from .ring import reference_state, ring_overlap, shifted_state  # noqa: F401
 
 NOTE_TENSOR_MODEL = (
@@ -186,9 +186,8 @@ def post_insertion_cost(alpha, n_trunc: int = 1000,
     """
     sums = truncation_sums(alpha, n_trunc)
     alphas = np.asarray(alpha, dtype=float)
-    # cos and sin of each alpha in libm, not in numpy's own build; sin >= 0 on (0, pi/2]
-    cos, sin = (np.fromiter(map(f, alphas.ravel().tolist()), float, alphas.size)
-                .reshape(alphas.shape) for f in (math.cos, math.sin))
+    # sin >= 0 on (0, pi/2]
+    cos, sin = per_alpha(math.cos, alphas), per_alpha(math.sin, alphas)
     tensor = bm.epsilon * bm.epsilon * sums.tensor_overlap
     overlap_after = np.minimum(1.0, tensor * tensor)
     note = np.array("" if bm.epsilon == 0.0 else NOTE_TENSOR_MODEL, dtype=object)

@@ -98,6 +98,12 @@ def _check_alpha(alpha) -> np.ndarray:
     return alpha
 
 
+def per_alpha(f, alpha: np.ndarray) -> np.ndarray:
+    """``f`` of each alpha of an array, in its shape, on Python floats: libm and
+    C pow, not numpy's loops, whose last bit may differ by build and SIMD level."""
+    return np.fromiter(map(f, alpha.ravel().tolist()), float, alpha.size).reshape(alpha.shape)
+
+
 def _weight_scales(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sin(alpha), K1 = 2*alpha*sin(alpha)^2/pi^3 and K2 = 2*(2*pi - alpha)*sin(alpha)^2/pi^3.
 
@@ -106,8 +112,7 @@ def _weight_scales(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     alpha = 7e-103, K1 leaves the normal float64 range, and the chamber-1
     coefficients and weights lose their digits: such an alpha is rejected.
     """
-    # libm's sine of each alpha, which does not depend on the numpy build
-    sin = np.fromiter(map(math.sin, alpha.ravel().tolist()), float, alpha.size).reshape(alpha.shape)
+    sin = per_alpha(math.sin, alpha)
     sin_sq = sin * sin
     k1 = 2.0 * alpha * sin_sq / math.pi**3
     under = k1 < sys.float_info.min
@@ -440,11 +445,9 @@ def delta_energy(n, m, alpha, variant: str = "nominal"):
     pref = math.pi**2 * HBAR**2 / (2.0 * MASS)
     if variant not in DELTA_E_VARIANTS:
         raise ValueError(f"variant must be one of {DELTA_E_VARIANTS}, got {variant!r}")
-    # Python's float power (C pow) of each alpha: numpy's x*x differs from it
-    # in the last bit at some alphas (2*pi - 1.0354838709677419)
-    alphas = alpha.ravel().tolist()
-    width_sq_1 = np.reshape([a**2 for a in alphas], alpha.shape)
-    width_sq_2 = np.reshape([(TWO_PI - a) ** 2 for a in alphas], alpha.shape)
+    # numpy's x*x differs from C pow in the last bit at 2*pi - 1.0354838709677419
+    width_sq_1 = per_alpha(lambda a: a**2, alpha)
+    width_sq_2 = per_alpha(lambda a: (TWO_PI - a) ** 2, alpha)
     with np.errstate(over="ignore", divide="ignore"):
         chambers = pref * (n * n / width_sq_1 + m * m / width_sq_2)
         if variant == "nominal":

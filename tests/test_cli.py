@@ -1180,9 +1180,12 @@ def table_rows(columns):
     return list(zip(*[col.tolist() for col in columns.values()]))
 
 
-def assert_writers_match_references(parts, rows):
-    for write, reference in ((cli._write_csv, reference_csv),
-                             (cli._write_json, reference_json)):
+#: each format's writer and its reference
+WRITERS = {"csv": (cli._write_csv, reference_csv), "json": (cli._write_json, reference_json)}
+
+
+def assert_writers_match_references(parts, rows, formats=tuple(WRITERS)):
+    for write, reference in map(WRITERS.get, formats):
         # a table's blocks are read once, so each writer gets its own
         table = cli.Table(parts, len(rows))
         stream = io.StringIO()
@@ -1196,6 +1199,36 @@ def assert_writers_match_references(parts, rows):
 def test_writers_match_csv_and_json_modules(n_rows):
     columns, rows = synthetic_table(n_rows)
     assert_writers_match_references([columns], rows)
+
+
+@pytest.mark.parametrize("n_rows", [1, 200, 2 * cli.BLOCK_ROWS + 5])
+def test_every_block_is_written_as_one_text(n_rows, monkeypatch):
+    # a block below BULK_ROWS is laid out as a larger one is: its cells and
+    # separators go out through one _write_text call
+    written = []
+    write_text = cli._write_text
+
+    def counted(stream, between, cells, rows, skip):
+        written.append(rows)
+        write_text(stream, between, cells, rows, skip)
+
+    monkeypatch.setattr(cli, "_write_text", counted)
+    columns, rows = synthetic_table(n_rows)
+    assert_writers_match_references([columns], rows)
+    blocks = [min(cli.BLOCK_ROWS, n_rows - start) for start in range(0, n_rows, cli.BLOCK_ROWS)]
+    assert written == blocks * len(WRITERS)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMAT_CHOICES)
+def test_small_table_leaves_out_the_numpy_formatter(fmt):
+    # a block below BULK_ROWS formats its numbers with Python's %, so a
+    # 200-alpha sweep never imports ringsplit._text (3-4 ms and about 1 MB of
+    # numpy code pages in a fresh process)
+    argv = ["cost", "--alpha-sweep", "0.3:1.4:200", "--n-trunc", "20000", "--format", fmt,
+            "--out", os.devnull]
+    assert _probe("import sys, ringsplit.cli\n"
+                  f"assert ringsplit.cli.main({argv!r}) == 0\n"
+                  "print('ringsplit._text' in sys.modules)\n") == "False\n"
 
 
 def constant_block_table(n_rows, varying):
@@ -1301,7 +1334,7 @@ def test_written_bytes_do_not_depend_on_the_simd_level(tmp_path):
     assert baseline == native
 
 
-@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", "nul\0"])
 def test_csv_string_cell_needing_quotes_is_refused(cell):
     table = cli.Table([{"x": np.array([1.0, 2.0]), "s": np.array(["plain", cell], dtype=object)}],
                       2)

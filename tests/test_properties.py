@@ -106,7 +106,8 @@ def test_libm_columns_equal_the_ring_overlap_bit_for_bit(alphas):
 #: row counts on both sides of the writer's break-even and of a block
 WRITER_ROWS = (1, cli.BULK_ROWS - 1, cli.BULK_ROWS, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
                cli.BLOCK_ROWS + 1, cli.BLOCK_ROWS + cli.BULK_ROWS)
-#: text that needs no CSV quoting: a %, a backslash, a tab, accents and a NUL
+#: text that needs no CSV quoting: a %, a backslash, a tab and accents, and
+#: a NUL, which only JSON takes (escaped as \u0000)
 CELL_TEXT = st.text(st.sampled_from("ab %\\\té☃\0"), max_size=6)
 
 
@@ -142,7 +143,8 @@ def test_writers_match_references_on_drawn_columns(n_rows, part_rows, seed, kind
     # NaN and infinities among the specials), int64 over its range, and
     # object columns of text and ints beyond int64; any column may hold one
     # value. Both writers must give the csv and json modules' text, with
-    # Python's per-value formatting, whichever path a block takes
+    # Python's per-value formatting, whichever path a block takes; the CSV
+    # writer's text is drawn without a NUL, which it refuses
     rng = np.random.default_rng(seed)
     columns = {}
     for i, kind in enumerate(kinds):
@@ -154,12 +156,14 @@ def test_writers_match_references_on_drawn_columns(n_rows, part_rows, seed, kind
     ints[rng.integers(0, n_rows, 3)] = [-2**63, 2**63 - 1, 0]
     columns["int"] = ints
     columns["small_int"] = rng.integers(-3, 300, n_rows)
-    columns["text"] = np.array(texts, dtype=object)[rng.integers(0, len(texts), n_rows)]
+    columns["text"] = rng.integers(0, len(texts), n_rows)  # indices into each format's texts
     columns["big_int"] = np.array([2**64, -2**80 - 1, 7], dtype=object)[rng.integers(0, 3, n_rows)]
     for name, one in zip(list(columns), constant):
         if one:
             columns[name] = np.repeat(columns[name][:1], n_rows)
     step = part_rows or n_rows
-    parts = [{name: col[start:start + step] for name, col in columns.items()}
-             for start in range(0, n_rows, step)]
-    assert_writers_match_references(parts, table_rows(columns))
+    for fmt, words in (("json", texts), ("csv", [text.replace("\0", "") for text in texts])):
+        drawn = {**columns, "text": np.array(words, dtype=object)[columns["text"]]}
+        parts = [{name: col[start:start + step] for name, col in drawn.items()}
+                 for start in range(0, n_rows, step)]
+        assert_writers_match_references(parts, table_rows(drawn), (fmt,))
